@@ -1,10 +1,11 @@
 """Cheeger constants and Cheeger sets of convex plane regions and curved strips.
 
-The exact arc-polygon kernel lives in `geom`, strips and their spinal curves
-in `spine`, the inner-Cheeger-formula solvers in `solver` (strips) and
-`convex` (convex regions), the worked example families in `gallery`, the
-independent raster/extrapolation oracles and check suites in `verify`, and
-the command-line front end in `cli`.
+The exact arc-polygon kernel lives in `geom`, the bisection shared by every
+root solve in `roots`, strips and their spinal curves in `spine`, the
+inner-Cheeger-formula solvers in `solver` (strips) and `convex` (convex
+regions), the worked example families in `gallery`, the independent
+raster/extrapolation oracles and check suites in `verify`, and the
+command-line front end in `cli`.
 """
 
 __version__ = "0.1.0"

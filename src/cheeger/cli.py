@@ -65,14 +65,30 @@ def _tolerance() -> float:
     return tol
 
 
+def _finite_number(val) -> Optional[float]:
+    """val as a float if it is a finite, non-bool JSON number, else None."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return None
+    try:
+        x = float(val)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _require_number(obj: dict, key: str, where: str) -> float:
     if key not in obj:
         raise SpecError(f"{where}: missing field {key!r}")
-    val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) \
-            or not math.isfinite(float(val)):
+    x = _finite_number(obj[key])
+    if x is None:
         raise SpecError(f"{where}: field {key!r} must be a finite number")
-    return float(val)
+    return x
+
+
+def _optional_number(obj: dict, key: str, default: float, where: str) -> float:
+    if key not in obj:
+        return default
+    return _require_number(obj, key, where)
 
 
 def parse_spine(items, halfwidth: float) -> Spine:
@@ -90,7 +106,7 @@ def parse_spine(items, halfwidth: float) -> Spine:
         if length <= 0.0:
             raise SpecError(f"{where}: 'length' must be positive")
         if kind == "line":
-            kappa = float(item.get("curvature", 0.0) or 0.0)
+            kappa = _optional_number(item, "curvature", 0.0, where)
             if kappa != 0.0:
                 raise SpecError(f"{where}: a line piece cannot carry curvature")
         else:
@@ -157,9 +173,7 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
         pts = []
         for i, xy in enumerate(verts):
             if (not isinstance(xy, (list, tuple)) or len(xy) != 2
-                    or not all(isinstance(v, (int, float))
-                               and not isinstance(v, bool)
-                               and math.isfinite(float(v)) for v in xy)):
+                    or any(_finite_number(v) is None for v in xy)):
                 raise SpecError(f"vertices[{i}]: expected [x, y] numbers")
             pts.append(Vec2(float(xy[0]), float(xy[1])))
         try:
@@ -180,15 +194,15 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
         return out
     if kind == "pinocchio":
         theta_raw = spec.get("theta", "auto")
-        alpha = float(spec.get("alpha", 0.0) or 0.0)
-        nose = float(spec.get("nose", 0.0) or 0.0)
+        alpha = _optional_number(spec, "alpha", 0.0, "pinocchio")
+        nose = _optional_number(spec, "nose", 0.0, "pinocchio")
         warnings: List[str] = []
         if theta_raw == "auto":
             theta = solve_pinocchio_theta()
         else:
-            if not isinstance(theta_raw, (int, float)) or isinstance(theta_raw, bool):
+            theta = _finite_number(theta_raw)
+            if theta is None:
                 raise SpecError("pinocchio: 'theta' must be a number or 'auto'")
-            theta = float(theta_raw)
             if not 0.0 < theta < 0.5 * math.pi:
                 raise SpecError("pinocchio: 'theta' must lie in (0, pi/2)")
             g_val = pinocchio_g(theta)
@@ -232,9 +246,9 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
         if theta_raw == "auto":
             theta = two_ears_theta()
         else:
-            if not isinstance(theta_raw, (int, float)) or isinstance(theta_raw, bool):
+            theta = _finite_number(theta_raw)
+            if theta is None:
                 raise SpecError("two_ears: 'theta' must be a number or 'auto'")
-            theta = float(theta_raw)
             if not 0.0 < theta < 0.5 * math.pi:
                 raise SpecError("two_ears: 'theta' must lie in (0, pi/2)")
             p, a = two_ears_measures(theta)
@@ -253,7 +267,7 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
                      (Vec2(-math.cos(theta), 0.0), math.sin(theta))]
         return out
     if kind == "bowtie":
-        gap = float(spec.get("gap", 0.0) or 0.0)
+        gap = _optional_number(spec, "gap", 0.0, "bowtie")
         if gap < 0.0:
             raise SpecError("bowtie: 'gap' must be nonnegative")
         bt = build_bowtie(gap)

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 from . import geom
 from .errors import EmptyInnerSet, InvalidGeometry, PropertyViolation
 from .geom import Arc, ArcPolygon, Segment, Vec2
+from .roots import bisect
 from .solver import DEFAULT_TOL, CheegerSolution, _bisect_inner_root
 
 
@@ -87,6 +88,12 @@ def _support_vertex(a: _Support, b: _Support, hint: Vec2) -> Optional[Vec2]:
         return a.point + a.direction * t
     if a.is_line or b.is_line:
         line, circ = (a, b) if a.is_line else (b, a)
+        off = circ.center - line.point
+        if abs(abs(off.cross(line.direction)) - circ.radius) \
+                <= 1e-12 * (circ.radius + 1.0):
+            # tangential junction: rounding splits the double root about
+            # 1e-8 apart, which would tilt the junction past ANG_TOL
+            return line.point + line.direction * off.dot(line.direction)
         ts = geom._line_circle(line.point, line.direction, circ.center,
                                circ.radius)
         if not ts:
@@ -179,16 +186,18 @@ def inradius(c: ConvexRegion, tol: float = 1e-12) -> float:
     """Largest depth with a nonempty inner parallel body, by bisection."""
     x0, y0, x1, y1 = c.region.bounding_box
     hi = 0.5 * min(x1 - x0, y1 - y0) * (1.0 + 1e-9)
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+
+    def feasible(r: float) -> float:
         try:
-            inner_parallel_body(c, mid)
-            lo = mid
+            inner_parallel_body(c, r)
         except EmptyInnerSet:
-            hi = mid
-        if hi - lo <= tol * max(hi, 1.0):
-            break
+            return -1.0
+        return 1.0
+
+    def done(lo: float, hi: float, mid: float, val: float) -> bool:
+        return hi - lo <= tol * max(hi, 1.0)
+
+    lo, _, _, _ = bisect(feasible, 0.0, hi, done)
     return lo
 
 

@@ -19,6 +19,7 @@ from .convex import ConvexRegion, convex_from_points, solve_convex
 from .errors import DomainError, EmptyInnerSet, InvalidGeometry, PropertyViolation
 from .geom import Arc, ArcPolygon, Segment, Vec2, arc_between
 from .reporting import Check
+from .roots import bisect
 from .spine import Spine, SpinePiece, level_chain
 
 TAU = geom.TAU
@@ -51,15 +52,8 @@ def solve_pinocchio_theta(tol: float = 1e-14) -> float:
         t = 0.5 * math.pi * k / 1000.0
         if pinocchio_g_prime(t) <= 0.0:
             raise PropertyViolation(f"g not increasing at theta={t}")
-    lo, hi = 0.0, 0.5 * math.pi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pinocchio_g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
+    lo, hi, _, _ = bisect(lambda t: -pinocchio_g(t), 0.0, 0.5 * math.pi,
+                          lambda lo, hi, mid, val: hi - lo <= tol)
     return 0.5 * (lo + hi)
 
 
@@ -220,15 +214,8 @@ def two_ears_theta(tol: float = 1e-14) -> float:
     eps = 1e-12
     if not (f(eps) < 0.0 and f(0.5 * math.pi - eps) > 0.0):
         raise PropertyViolation("defining equation lost its sign change")
-    lo, hi = eps, 0.5 * math.pi - eps
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
+    lo, hi, _, _ = bisect(lambda t: -f(t), eps, 0.5 * math.pi - eps,
+                          lambda lo, hi, mid, val: hi - lo <= tol)
     return 0.5 * (lo + hi)
 
 
@@ -407,14 +394,8 @@ def bowtie_cheeger_candidate(bt: BowTie) -> BowTieCandidate:
     lo = 1e-4
     if not (psi(lo) < 0.0 < psi(hi)):
         raise PropertyViolation("ratio identity root not bracketed")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if psi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14:
-            break
+    lo, hi, _, _ = bisect(lambda a: -psi(a), lo, hi,
+                          lambda lo, hi, mid, val: hi - lo <= 1e-14, 120)
     a = 0.5 * (lo + hi)
     region = rounded(a)
     arcs = tuple(p for p in region.pieces if isinstance(p, Arc))

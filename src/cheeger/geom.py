@@ -289,7 +289,8 @@ class ArcPolygon:
         if a < 0.0:
             pieces = tuple(p.reversed() for p in reversed(pieces))
             a = -a
-        if a <= (diam * REL_TOL) ** 2:
+        eps = diam * REL_TOL
+        if a <= eps * eps:  # eps ** 2 would raise OverflowError on huge loops
             raise InvalidGeometry("loop encloses no area")
         self.pieces = pieces
         self._area = a
@@ -710,7 +711,9 @@ def offset_outward_disk(p: ArcPolygon, rho: float,
         t_in = orig.tangent_at_end()
         t_out = nxt_orig.tangent_at_start()
         turn = math.atan2(t_in.cross(t_out), t_in.dot(t_out))
-        if turn > ANG_TOL:
+        # a turn below ANG_TOL still needs its arc once rho*turn, the gap it
+        # would leave, outgrows the loop's closure tolerance
+        if turn > ANG_TOL or (turn > 0.0 and rho * turn > 1e-12 * scale):
             vertex = orig.end
             a0 = _outward_normal_at_end(orig).angle()
             out.append(Arc.from_angles(vertex, rho, a0, turn))

@@ -18,6 +18,7 @@ from .errors import (DegenerateInnerSet, DomainError, EmptyInnerSet, NoRoot,
                      PropertyViolation)
 from .geom import Arc, ArcPolygon, Segment, Vec2
 from .reporting import Check
+from .roots import bisect
 from .spine import Strip, chain_pieces, level_chain
 
 DEFAULT_TOL = 1e-10
@@ -151,23 +152,16 @@ def _bisect_inner_root(measure: Callable[[float], Optional[float]],
     if not (f_lo > 0.0 and f_hi < 0.0):
         raise NoRoot(
             f"no sign change on ({lo}, {hi}): f={f_lo:.3e}, {f_hi:.3e}")
-    iterations = 0
-    mid = 0.5 * (lo + hi)
-    while iterations < MAX_ITERATIONS:
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        iterations += 1
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        small = hi - lo <= 1e-13 * max(hi, 1.0)
+
+    def done(lo: float, hi: float, mid: float, val: float) -> bool:
+        width = hi - lo
+        if width <= 1e-13 * max(hi, 1.0):
+            return True
         converged = math.isfinite(val) and abs(val) <= tol * math.pi * mid * mid
-        if converged and hi - lo <= 1e-12 * max(hi, 1.0):
-            break
-        if small:
-            break
-    return mid, iterations
+        return converged and width <= 1e-12 * max(hi, 1.0)
+
+    _, _, r, iterations = bisect(f, lo, hi, done, MAX_ITERATIONS)
+    return r, iterations
 
 
 def solve_strip(st: Strip, allow_short: bool = False,
@@ -185,7 +179,8 @@ def solve_strip(st: Strip, allow_short: bool = False,
         if not allow_short:
             raise DomainError(
                 f"normalized strip length {L_norm:.4f} is below 9*pi/2; "
-                "pass allow_short=True to solve anyway")
+                "pass allow_short=True (on the command line, "
+                "--allow-short-strip) to solve anyway")
         warnings.append(
             "uncertified: normalized length below 9*pi/2, the four-arc "
             "structure and uniqueness are not guaranteed")

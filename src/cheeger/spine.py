@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import geom
 from .errors import (BallNotContained, DomainError, InvalidGeometry,
                      NotADiffeomorphism, SelfIntersecting)
 from .geom import Arc, ArcPolygon, BoundaryPiece, Segment, Vec2, unit_from_angle
+from .roots import bisect
 
-INJECTIVITY_SAMPLES = 10_000
 PATH_CLEARANCE_SAMPLES = 1000
 
 
@@ -127,32 +125,6 @@ def _advance(p: Vec2, theta: float, kappa: float, ds: float) -> Tuple[Vec2, floa
     return q, theta2
 
 
-def _sample_points(spine: "Spine", ts: np.ndarray, rhos: np.ndarray):
-    """Vectorized evaluation of gamma(t) + rho*normal(t)."""
-    t0s = np.array([s[0] for s in spine._states])
-    px = np.array([s[1].x for s in spine._states[:-1]])
-    py = np.array([s[1].y for s in spine._states[:-1]])
-    th0 = np.array([s[2] for s in spine._states[:-1]])
-    kap = np.array([p.curvature for p in spine.pieces])
-    idx = np.clip(np.searchsorted(t0s[1:-1], ts, side="right"), 0,
-                  len(spine.pieces) - 1)
-    dt = ts - t0s[idx]
-    k = kap[idx]
-    th = th0[idx] + k * dt
-    straight = k == 0.0
-    x = np.empty_like(ts)
-    y = np.empty_like(ts)
-    x[straight] = px[idx][straight] + dt[straight] * np.cos(th0[idx][straight])
-    y[straight] = py[idx][straight] + dt[straight] * np.sin(th0[idx][straight])
-    curved = ~straight
-    kc = k[curved]
-    cx = px[idx][curved] - np.sin(th0[idx][curved]) / kc
-    cy = py[idx][curved] + np.cos(th0[idx][curved]) / kc
-    x[curved] = cx + np.sin(th[curved]) / kc
-    y[curved] = cy - np.cos(th[curved]) / kc
-    return x - rhos * np.sin(th), y + rhos * np.cos(th)
-
-
 # spine builders ------------------------------------------------------------
 
 
@@ -190,18 +162,10 @@ def serpentine_spine(curvature: float, length: float,
 
 
 @dataclass(frozen=True)
-class StripCertificate:
-    injective: bool
-    min_clearance: float
-    samples: int
-
-
-@dataclass(frozen=True)
 class Strip:
     spine: Spine
     halfwidth: float
     boundary: ArcPolygon
-    validity: StripCertificate
 
     @property
     def length(self) -> float:
@@ -304,13 +268,13 @@ def chain_pieces(chain: Sequence[Tuple[BoundaryPiece, float, float]],
     return pieces
 
 
-def build_strip(spine: Spine, halfwidth: float,
-                injectivity_samples: int = INJECTIVITY_SAMPLES) -> Strip:
+def build_strip(spine: Spine, halfwidth: float) -> Strip:
     """Assemble and validate the strip of half-width s around a spine.
 
     The Jacobian of the parametrization is 1 - rho*kappa(t), so the map is
-    a local diffeomorphism iff s*max|kappa| < 1; global injectivity is then
-    certified by a boundary intersection scan plus randomized sampling.
+    a local diffeomorphism iff s*max|kappa| < 1.  Overlaps are rejected by
+    the self-intersection scan of the assembled boundary and by checking
+    its area and perimeter against 2sL and 2L + 4s.
     """
     s = halfwidth
     if not (s > 0.0 and math.isfinite(s)):
@@ -330,20 +294,7 @@ def build_strip(spine: Spine, halfwidth: float,
     boundary = ArcPolygon(bottom + [right] + top_rev + [left])
     geom.assert_simple(boundary, tol=1e-9 * max(L, 1.0))
 
-    rng = np.random.default_rng(20_260_101)
-    ts = rng.uniform(0.0, L, size=(injectivity_samples, 2))
-    keep = np.abs(ts[:, 0] - ts[:, 1]) >= 0.01 * L
-    ts = ts[keep]
-    rhos = rng.uniform(-s, s, size=ts.shape)
-    xa, ya = _sample_points(spine, ts[:, 0], rhos[:, 0])
-    xb, yb = _sample_points(spine, ts[:, 1], rhos[:, 1])
-    gaps = np.hypot(xa - xb, ya - yb)
-    min_clear = float(gaps.min()) if len(gaps) else math.inf
-    cert = StripCertificate(injective=min_clear > 0.0,
-                            min_clearance=min_clear, samples=len(ts))
-    if not cert.injective:
-        raise SelfIntersecting("sampled parametrization points coincide")
-    strip = Strip(spine=spine, halfwidth=s, boundary=boundary, validity=cert)
+    strip = Strip(spine=spine, halfwidth=s, boundary=boundary)
     a, p = strip_measures(strip)
     if abs(boundary.area - a) > 1e-9 * a or abs(boundary.perimeter - p) > 1e-9 * p:
         raise InvalidGeometry(
@@ -417,15 +368,10 @@ def _level_tangency_parameter(st: Strip, rho: float, r: float,
             break
     if clear(lo) >= 0.0:
         return lo
-    hi = t_hint
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if clear(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * max(st.length, 1.0):
-            break
+    width = 1e-12 * max(st.length, 1.0)
+    _, hi, _, _ = bisect(lambda t: -1.0 if clear(t) >= 0.0 else 1.0,
+                         lo, t_hint,
+                         lambda lo, hi, mid, val: hi - lo <= width, 80)
     return hi
 
 

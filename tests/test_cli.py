@@ -1,11 +1,16 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cheeger import cli
+from cheeger.errors import CheegerError
 from cheeger.reporting import Check
 from conftest import straight_strip_root
 
@@ -127,6 +132,15 @@ def test_schema_errors_exit_1(tmp_path, capsys):
          "spine": [{"kind": "arc", "length": 5, "curvature": 0.6}]},
         {"type": "convex_polygon", "vertices": [[0, 0], [1, 0]]},
         {"type": "wat"},
+        {"type": "pinocchio", "alpha": "x"},
+        {"type": "pinocchio", "alpha": True},
+        {"type": "pinocchio", "nose": [1]},
+        {"type": "bowtie", "gap": "wide"},
+        {"type": "two_ears", "theta": 10 ** 400},
+        {"type": "convex_polygon",
+         "vertices": [[0, 0], [1, 0], [0, 10 ** 400]]},
+        {"type": "strip", "halfwidth": 1.0,
+         "spine": [{"kind": "line", "length": 15, "curvature": "a"}]},
     ]
     for i, spec in enumerate(cases):
         path = write_spec(tmp_path, f"case{i}.json", spec)
@@ -135,12 +149,52 @@ def test_schema_errors_exit_1(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+def fuzzed_spec(kind, key, value):
+    if kind == "strip":
+        return {"type": "strip", "halfwidth": 1.0,
+                "spine": [{"kind": "line", "length": 15.0, key: value}]}
+    return {"type": kind, key: value}
+
+
+@given(st.sampled_from([("pinocchio", "alpha"), ("pinocchio", "nose"),
+                        ("pinocchio", "theta"), ("two_ears", "theta"),
+                        ("bowtie", "gap"), ("strip", "curvature")]),
+       json_values)
+@settings(max_examples=100, deadline=None)
+def test_spec_fields_fail_typed(field, value):
+    try:
+        cli.solve_domain(fuzzed_spec(*field, value))
+    except (cli.SpecError, CheegerError):
+        pass
+
+
+def test_readme_domain_examples_solve(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Domain files are one of:", 1)[1]
+    block = block.split("```json", 1)[1].split("```", 1)[0]
+    specs = [json.loads(chunk)
+             for chunk in re.split(r"\n(?=\{)", block.strip())]
+    assert len(specs) == 6
+    for i, spec in enumerate(specs):
+        path = write_spec(tmp_path, f"readme{i}.json", spec)
+        code, _, err = run_main(capsys, ["solve", path])
+        assert code == 0, (spec, err)
+
+
 def test_short_strip_needs_flag(tmp_path, capsys):
     spec = {"type": "strip", "halfwidth": 1.0,
             "spine": [{"kind": "line", "length": 10.0}]}
     path = write_spec(tmp_path, "short.json", spec)
-    code, _, _ = run_main(capsys, ["solve", path])
+    code, _, err = run_main(capsys, ["solve", path])
     assert code == 1
+    assert "--allow-short-strip" in err
     code, out, _ = run_main(capsys, ["solve", path, "--allow-short-strip"])
     assert code == 0
     report = json.loads(out)

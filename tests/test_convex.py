@@ -78,6 +78,7 @@ def test_solve_unit_square():
     assert sol.h == pytest.approx(2.0 + SQRT_PI, abs=1e-9)
     assert sol.r == pytest.approx(1.0 / (2.0 + SQRT_PI), abs=1e-9)
     assert sol.residual <= 1e-10 * math.pi * sol.r ** 2
+    assert sol.iterations == 40
 
 
 def test_solve_triangle():
@@ -128,3 +129,34 @@ def test_nested_squares_monotone():
 
 def test_inradius_square():
     assert convex.inradius(square_region()) == pytest.approx(0.5, abs=1e-9)
+
+
+def filleted_regular(n, fraction):
+    """Regular n-gon of circumradius 1, corners rounded at `fraction` of its
+    Cheeger radius, so the Cheeger set and h stay those of the n-gon."""
+    poly = geom.polygon_from_points(
+        [Vec2(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
+         for k in range(n)])
+    rho_in = math.cos(math.pi / n)
+    area = n * rho_in * rho_in * math.tan(math.pi / n)
+    h = 1.0 / rho_in + math.sqrt(math.pi / area)
+    return geom.round_corners(poly, fraction / h), h
+
+
+# segments meeting arcs tangentially: the inner parallel body must keep its
+# junctions tangent instead of failing the convexity check
+@pytest.mark.parametrize("region, h", [
+    *[pytest.param(geom.round_corners(square_region().region, rho),
+                   2.0 + SQRT_PI, id=f"square-fillet{rho}")
+      for rho in (0.05, 0.15, 0.25)],
+    *[pytest.param(*filleted_regular(n, frac), id=f"{n}gon-fillet{frac}")
+      for n in (3, 5, 6, 8) for frac in (0.2, 0.9)],
+    # unit-radius stadiums are self-Cheeger: h = (2l + 2 pi) / (2l + pi)
+    *[pytest.param(verify.stadium(l, 1.0),
+                   (2 * l + 2 * math.pi) / (2 * l + math.pi), id=f"stadium{l}")
+      for l in (0.5, 1.0, 2.0, 2.2, 3.0)],
+])
+def test_solve_segments_meeting_arcs(region, h):
+    sol = convex.solve_convex(convex.ConvexRegion(region))
+    assert sol.h == pytest.approx(h, rel=1e-10)
+    assert sol.residual <= 1e-10 * math.pi * sol.r ** 2

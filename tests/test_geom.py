@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cheeger import geom, verify
@@ -167,7 +167,14 @@ def convex_polygons(draw):
     return poly
 
 
+# a vertex 1e-9 off a straight edge turns by less than ANG_TOL but still
+# needs its vertex arc: without it the offset loop is not closed
+NEAR_COLLINEAR = geom.polygon_from_points(
+    [Vec2(-1, 0), Vec2(0, -2), Vec2(1e-9, 0), Vec2(0, 2)])
+
+
 @given(convex_polygons(), st.sampled_from([0.01, 0.1, 1.0]))
+@example(NEAR_COLLINEAR, 0.1)
 @settings(max_examples=60, deadline=None)
 def test_steiner_identities(poly, rho):
     if poly is None:

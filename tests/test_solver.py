@@ -68,6 +68,7 @@ def test_solve_straight_strip_against_quadratic(straight_strip_9pi2,
     assert sol.h == pytest.approx(1.0 / r_exact, abs=1e-9)
     assert sol.residual <= 1e-10 * math.pi * sol.r ** 2
     assert sol.h == 1.0 / sol.r  # h and r are exact reciprocals by definition
+    assert sol.iterations == 40
 
 
 def test_solve_L100_near_asymptotic():
