@@ -220,7 +220,9 @@ def solve_convex(c: ConvexRegion, tol: float = DEFAULT_TOL) -> CheegerSolution:
     e_r = inner_parallel_body(c, r).region
     residual = abs(e_r.area - math.pi * r * r)
     cheeger = geom.offset_outward_disk(e_r, r, reach_bound=math.inf)
-    scale = max(c.region.diameter, 1.0)
+    # rounding in the offset grows with the coordinates, not just the size
+    scale = max(c.region.diameter, 1.0,
+                *(abs(v) for v in c.region.bounding_box))
     for piece in cheeger.pieces:
         for u in (0.0, 0.25, 0.5, 0.75):
             pt = piece.point_at(u)

@@ -2,7 +2,8 @@
 
 Areas and perimeters are closed-form (Green's theorem with circular-segment
 terms), offsets by a disk stay inside the same representation, and distance
-queries are per-piece projections.  Everything is immutable and pure.
+queries are per-piece projections, run as one loop over plain floats per
+query.  Everything is immutable and pure.
 """
 from __future__ import annotations
 
@@ -262,7 +263,7 @@ class ArcPolygon:
     share endpoints to within 1e-12 of the loop diameter.
     """
 
-    __slots__ = ("pieces", "_area", "_perimeter", "_bbox")
+    __slots__ = ("pieces", "_area", "_perimeter", "_bbox", "_flat")
 
     def __init__(self, pieces: Sequence[BoundaryPiece]):
         pieces = tuple(pieces)
@@ -296,6 +297,7 @@ class ArcPolygon:
         self._area = a
         self._perimeter = sum(p.length for p in pieces)
         self._bbox = (min(xs), min(ys), max(xs), max(ys))
+        self._flat = None  # filled by _flat_pieces
 
     @property
     def area(self) -> float:
@@ -364,25 +366,87 @@ def perimeter(p: ArcPolygon) -> float:
 # point queries
 
 
-def _chord_winding(a: Vec2, b: Vec2) -> float:
-    return math.atan2(a.cross(b), a.dot(b))
+def _flat_pieces(p: ArcPolygon) -> tuple:
+    """The loop's pieces as plain floats, built on the first point query.
+
+    Each row is (is_arc, values).  Segment values are start, end,
+    end - start and |end - start|^2; arc values are start, end, center,
+    radius, ccw, start angle and sweep.  Two threads filling it at once
+    build equal tables, so the polygon stays safe to share.
+    """
+    flat = p._flat
+    if flat is None:
+        rows = []
+        for q in p.pieces:
+            sx, sy, ex, ey = q.start.x, q.start.y, q.end.x, q.end.y
+            if isinstance(q, Segment):
+                dx, dy = ex - sx, ey - sy
+                rows.append((False, (sx, sy, ex, ey, dx, dy, dx * dx + dy * dy)))
+            else:
+                cx, cy = q.center.x, q.center.y
+                rows.append((True, (sx, sy, ex, ey, cx, cy, q.radius, q.ccw,
+                                    math.atan2(sy - cy, sx - cx), q.sweep)))
+        flat = p._flat = tuple(rows)
+    return flat
 
 
-def _piece_winding(piece: BoundaryPiece, x: Vec2) -> float:
-    w = _chord_winding(piece.start - x, piece.end - x)
-    if isinstance(piece, Arc):
-        inside = x.distance(piece.center) < piece.radius
-        if inside:
-            side = (piece.end - piece.start).cross(x - piece.start)
-            if piece.ccw and side < 0.0:
-                w += TAU
-            elif not piece.ccw and side > 0.0:
-                w -= TAU
-    return w
+def _nearest_and_winding(p: ArcPolygon, x: Vec2) -> tuple:
+    """Distance from x to the boundary and the winding number around x.
+
+    One pass over plain floats that evaluates the expressions of
+    point_to_segment, point_to_arc and the per-piece winding angle (chord
+    angle plus a full turn when x sees the arc's far side) in their order,
+    so the distance equals the least point_to_piece distance bit for bit
+    and the winding angles add up in piece order.
+    """
+    px, py = x.x, x.y
+    hypot, atan2, tau = math.hypot, math.atan2, TAU
+    wrap = tau - 1e-9
+    best = math.inf
+    total = 0.0
+    for is_arc, row in _flat_pieces(p):
+        if is_arc:
+            sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
+            vx = px - cx
+            vy = py - cy
+            r = hypot(vx, vy)
+            d = -1.0
+            if r > 1e-300:
+                phi = atan2(vy, vx)
+                off = (phi - a0) % tau if ccw else (a0 - phi) % tau
+                if off <= sweep + 1e-9 or off >= wrap:
+                    d = abs(r - radius)
+            if d < 0.0:
+                d0 = hypot(px - sx, py - sy)
+                d1 = hypot(px - ex, py - ey)
+                d = d0 if d0 <= d1 else d1
+        else:
+            sx, sy, ex, ey, dx, dy, dd = row
+            if dd == 0.0:
+                d = hypot(px - sx, py - sy)
+            else:
+                t = ((px - sx) * dx + (py - sy) * dy) / dd
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                d = hypot(px - (sx + dx * t), py - (sy + dy * t))
+        if d < best:
+            best = d
+        ax = sx - px
+        ay = sy - py
+        bx = ex - px
+        by = ey - py
+        w = atan2(ax * by - ay * bx, ax * bx + ay * by)
+        if is_arc and r < radius:
+            side = (ex - sx) * (py - sy) - (ey - sy) * (px - sx)
+            if ccw and side < 0.0:
+                w += tau
+            elif not ccw and side > 0.0:
+                w -= tau
+        total += w
+    return best, total / tau
 
 
 def winding_number(p: ArcPolygon, x: Vec2) -> float:
-    return sum(_piece_winding(piece, x) for piece in p.pieces) / TAU
+    return _nearest_and_winding(p, x)[1]
 
 
 def contains(p: ArcPolygon, x: Vec2) -> bool:
@@ -421,12 +485,8 @@ def point_to_piece(x: Vec2, piece: BoundaryPiece) -> tuple:
 
 def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
     """Signed distance to the boundary: positive inside, negative outside."""
-    best = math.inf
-    for piece in p.pieces:
-        d, _ = point_to_piece(x, piece)
-        if d < best:
-            best = d
-    return best if contains(p, x) else -best
+    best, winding = _nearest_and_winding(p, x)
+    return best if winding > 0.5 else -best
 
 
 # ---------------------------------------------------------------------------

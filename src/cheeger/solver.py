@@ -328,12 +328,12 @@ def check_free_boundary(sol: CheegerSolution, st: Strip,
         record("free_arc_sweep", a.sweep <= math.pi + 1e-9,
                f"sweep {a.sweep} exceeds pi", fa)
         center_depth = geom.distance_to_boundary(st.boundary, a.center)
-        ball_ok = center_depth >= r - 1e-9
+        ball_ok = center_depth >= r - 1e-9 * scale
         if ball_ok:
             for k in range(ball_samples):
                 phi = geom.TAU * k / ball_samples
                 pt = a.center + r * geom.unit_from_angle(phi)
-                if geom.distance_to_boundary(st.boundary, pt) < -1e-9:
+                if geom.distance_to_boundary(st.boundary, pt) < -1e-9 * scale:
                     ball_ok = False
                     break
         record("free_arc_ball_inside", ball_ok,

@@ -160,3 +160,16 @@ def test_solve_segments_meeting_arcs(region, h):
     sol = convex.solve_convex(convex.ConvexRegion(region))
     assert sol.h == pytest.approx(h, rel=1e-10)
     assert sol.residual <= 1e-10 * math.pi * sol.r ** 2
+
+
+def regular_region(n, center):
+    return convex.convex_from_points(
+        [center + geom.unit_from_angle(2.0 * math.pi * k / n) for k in range(n)])
+
+
+# containment rounding grows with the coordinates, not with the region size
+@pytest.mark.parametrize("offset", [1e3, 1e6, 1e8])
+def test_solve_translated_far_from_origin(offset):
+    h0 = convex.solve_convex(regular_region(7, Vec2(0.0, 0.0))).h
+    far = convex.solve_convex(regular_region(7, Vec2(offset, offset)))
+    assert far.h == pytest.approx(h0, rel=1e-8)

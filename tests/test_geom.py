@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -222,3 +223,101 @@ def test_signed_distance_against_halfplane_oracle(poly, xy):
 def test_isoperimetric_disk_equality(unit_disk):
     assert unit_disk.perimeter == pytest.approx(
         2.0 * math.sqrt(math.pi * unit_disk.area), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the float kernel behind distance_to_boundary against the per-piece queries
+
+# closest approach, within which the sign oracles below may disagree with
+# the computed sign through rounding alone
+NEAR = 1e-9
+shifts = st.floats(min_value=-1e6, max_value=1e6,
+                   allow_nan=False, allow_infinity=False)
+fractions = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _disk_depth(x):
+    return 1.3 - math.hypot(x.x - 0.2, x.y + 0.1)
+
+
+def _filleted_square_depth(x):
+    # unit square with corner radius 1/4: a square of half side 1/4 grown by 1/4
+    qx = abs(x.x - 0.5) - 0.25
+    qy = abs(x.y - 0.5) - 0.25
+    return 0.25 - (math.hypot(max(qx, 0.0), max(qy, 0.0)) + min(max(qx, qy), 0.0))
+
+
+def _notched_stadium_depth(x):
+    # stadium minus the open notch disk: positive exactly inside both parts
+    u = min(max(x.x, 0.0), 3.0)
+    stadium = 1.0 - math.hypot(x.x - u, x.y)
+    notch = math.hypot(x.x - 1.5, x.y - 1.0) - 0.2
+    return min(stadium, notch)
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel_shapes():
+    square = geom.polygon_from_points(
+        [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
+    return (
+        (geom.disk(Vec2(0.2, -0.1), 1.3, 5), _disk_depth),
+        (geom.round_corners(square, 0.25), _filleted_square_depth),
+        (verify.notched_stadium(), _notched_stadium_depth),
+    )
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel_strips():
+    families = verify.strip_families()
+    return (families["serpentine_k09"](20.0), families["s_curve"](15.0))
+
+
+def _nearest_piece_distance(poly, x):
+    return min(geom.point_to_piece(x, q)[0] for q in poly.pieces)
+
+
+@given(st.integers(0, 2), fractions, fractions, shifts, shifts)
+@settings(max_examples=150, deadline=None)
+def test_signed_distance_matches_piece_queries(which, u, v, dx, dy):
+    shape, depth = _kernel_shapes()[which]
+    x0, y0, x1, y1 = shape.bounding_box
+    local = Vec2(x0 - 0.5 + u * (x1 - x0 + 1.0), y0 - 0.5 + v * (y1 - y0 + 1.0))
+    shift = Vec2(dx, dy)
+    poly = shape.translated(shift)
+    x = local + shift
+    sd = geom.distance_to_boundary(poly, x)
+    assert abs(sd) == _nearest_piece_distance(poly, x)
+    if abs(depth(local)) > NEAR:
+        assert (sd > 0.0) == (depth(local) > 0.0)
+
+
+@given(st.integers(0, 1), fractions, st.floats(min_value=-1.0, max_value=1.0),
+       shifts, shifts)
+@settings(max_examples=100, deadline=None)
+def test_strip_level_points_inside(which, u, w, dx, dy):
+    # gamma(t) + rho * normal(t) with |rho| <= s and 0 <= t <= L lies in
+    # the closed strip
+    strip = _kernel_strips()[which]
+    shift = Vec2(dx, dy)
+    poly = strip.boundary.translated(shift)
+    x = strip.point(u * strip.length, w * strip.halfwidth) + shift
+    sd = geom.distance_to_boundary(poly, x)
+    assert abs(sd) == _nearest_piece_distance(poly, x)
+    if abs(sd) > NEAR:
+        assert sd > 0.0
+
+
+def test_distance_query_builds_no_vec2(monkeypatch):
+    boundary = verify.strip_families()["serpentine_k09"](160.0).boundary
+    assert len(boundary.pieces) == 414
+    x = Vec2(80.0, 0.5)
+    made = []
+    post_init = Vec2.__post_init__
+
+    def counting(v):
+        made.append(v)
+        post_init(v)
+
+    monkeypatch.setattr(Vec2, "__post_init__", counting)
+    geom.distance_to_boundary(boundary, x)
+    assert len(made) == 0

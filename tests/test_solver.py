@@ -181,6 +181,17 @@ def test_free_boundary_serpentine():
     assert all(fa.arc.sweep <= math.pi + 1e-9 for fa in report.arcs)
 
 
+def test_free_boundary_scales_with_strip():
+    # the osculating-ball test compares depths of order s, so its tolerance
+    # must grow with the strip as the corner match does
+    st = spine.build_strip(spine.s_curve_spine(0.5, 20.0), 1.0)
+    h1 = solver.solve_strip(st).h
+    big = st.scaled(1e6)
+    sol = solver.solve_strip(big)
+    assert solver.check_free_boundary(sol, big).passed
+    assert sol.h * 1e6 == pytest.approx(h1, rel=1e-12)
+
+
 def test_free_boundary_rejects_corrupted_set():
     st = spine.build_strip(spine.straight_spine(20.0), 1.0)
     sol = solver.solve_strip(st)
