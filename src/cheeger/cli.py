@@ -1,6 +1,6 @@
 """Command-line front end: solve domain files, run check suites, render SVG.
 
-Domain files are JSON objects (see `parse_domain`); reports are machine
+Domain files are JSON objects (see `solve_domain`); reports are machine
 readable JSON on stdout with a human log on stderr.  Exit codes: 0 success,
 1 input error, 2 failed property or check.
 """
@@ -11,22 +11,22 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from . import __version__, geom
+from . import __version__
 from .convex import convex_from_points, solve_convex
 from .errors import CheegerError, PropertyViolation
 from .gallery import (bowtie_cheeger_candidate, build_bowtie, make_pinocchio,
                       pinocchio_g, pinocchio_measures, solve_pinocchio_theta,
                       two_balls_example, two_ears_measures, two_ears_region,
                       two_ears_theta)
-from .geom import Arc, ArcPolygon, Segment, Vec2
+from .geom import ArcPolygon, Segment, Vec2
 from .reporting import Check
 from .solver import (DEFAULT_TOL, CheegerSolution, check_free_boundary,
                      solve_strip)
 from .spine import Spine, SpinePiece, build_strip
-from .verify import SUITES, run_suite
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -121,11 +121,49 @@ def parse_spine(items, halfwidth: float) -> Spine:
     return Spine(tuple(pieces))
 
 
-def _ratio_check(sol: CheegerSolution) -> Check:
+def _inner_formula_outcome(sol: CheegerSolution, region: ArcPolygon
+                           ) -> Outcome:
+    """Outcome of an inner-formula solve with its residual and ratio checks."""
     ratio = sol.cheeger_set.perimeter / sol.cheeger_set.area
     err = abs(ratio - sol.h) / sol.h
-    return Check("cheeger_ratio_identity", err <= 1e-8,
-                 f"perimeter/area vs h relative gap {err:.3e}")
+    return Outcome(
+        h=sol.h, r=sol.r, residual=sol.residual, iterations=sol.iterations,
+        bounds=None if sol.bounds is None else asdict(sol.bounds),
+        warnings=list(sol.warnings), regions=[region], inner=sol.inner_set,
+        cheeger=sol.cheeger_set,
+        checks=[Check("inner_cheeger_residual",
+                      sol.residual <= 1e-10 * math.pi * sol.r ** 2,
+                      f"|area(E_r) - pi r^2| = {sol.residual:.3e}"),
+                Check("cheeger_ratio_identity", err <= 1e-8,
+                      f"perimeter/area vs h relative gap {err:.3e}")])
+
+
+def _closed_form_outcome(region: ArcPolygon, perim: float, area: float,
+                         warnings: List[str]) -> Outcome:
+    """Outcome of a region that is its own Cheeger set, h = perim/area from
+    a closed form, checked against the region's exact measures."""
+    h = perim / area
+    geo_gap = max(abs(region.perimeter - perim) / perim,
+                  abs(region.area - area) / area)
+    return Outcome(h=h, r=1.0 / h, residual=0.0, iterations=0,
+                   warnings=warnings, regions=[region], cheeger=region,
+                   checks=[Check("formula_geometry_agreement",
+                                 geo_gap <= 1e-9,
+                                 f"relative gap {geo_gap:.3e}")])
+
+
+def _theta(spec: dict, where: str) -> Optional[float]:
+    """The 'theta' field: None for 'auto' (the default), else an angle in
+    (0, pi/2)."""
+    raw = spec.get("theta", "auto")
+    if raw == "auto":
+        return None
+    theta = _finite_number(raw)
+    if theta is None:
+        raise SpecError(f"{where}: 'theta' must be a number or 'auto'")
+    if not 0.0 < theta < 0.5 * math.pi:
+        raise SpecError(f"{where}: 'theta' must lie in (0, pi/2)")
+    return theta
 
 
 def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
@@ -140,19 +178,7 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
         spine = parse_spine(spec.get("spine"), hw)
         strip = build_strip(spine, hw)
         sol = solve_strip(strip, allow_short=allow_short, tol=tol)
-        out = Outcome(h=sol.h, r=sol.r, residual=sol.residual,
-                      iterations=sol.iterations,
-                      bounds={"krepra_lower": sol.bounds.krepra_lower,
-                              "krepra_upper": sol.bounds.krepra_upper,
-                              "asymptotic": sol.bounds.asymptotic},
-                      warnings=list(sol.warnings),
-                      regions=[strip.boundary], inner=sol.inner_set,
-                      cheeger=sol.cheeger_set)
-        out.checks.append(Check(
-            "inner_cheeger_residual",
-            sol.residual <= 1e-10 * math.pi * sol.r ** 2,
-            f"|area(E_r) - pi r^2| = {sol.residual:.3e}"))
-        out.checks.append(_ratio_check(sol))
+        out = _inner_formula_outcome(sol, strip.boundary)
         if not sol.warnings:
             out.checks.append(Check(
                 "strip_bounds",
@@ -180,31 +206,20 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
             region = convex_from_points(pts)
         except CheegerError as exc:
             raise SpecError(f"convex_polygon: {exc}") from exc
-        sol = solve_convex(region, tol=tol)
-        out = Outcome(h=sol.h, r=sol.r, residual=sol.residual,
-                      iterations=sol.iterations, regions=[region.region],
-                      inner=sol.inner_set, cheeger=sol.cheeger_set)
-        out.checks.append(Check(
-            "inner_cheeger_residual",
-            sol.residual <= 1e-10 * math.pi * sol.r ** 2,
-            f"|area(E_r) - pi r^2| = {sol.residual:.3e}"))
-        out.checks.append(_ratio_check(sol))
+        out = _inner_formula_outcome(solve_convex(region, tol=tol),
+                                     region.region)
         out.checks.append(Check("cheeger_set_contained", True,
                                 "sampled containment verified during solve"))
         return out
     if kind == "pinocchio":
-        theta_raw = spec.get("theta", "auto")
         alpha = _optional_number(spec, "alpha", 0.0, "pinocchio")
         nose = _optional_number(spec, "nose", 0.0, "pinocchio")
+        theta = _theta(spec, "pinocchio")
+        auto = theta is None
         warnings: List[str] = []
-        if theta_raw == "auto":
+        if auto:
             theta = solve_pinocchio_theta()
         else:
-            theta = _finite_number(theta_raw)
-            if theta is None:
-                raise SpecError("pinocchio: 'theta' must be a number or 'auto'")
-            if not 0.0 < theta < 0.5 * math.pi:
-                raise SpecError("pinocchio: 'theta' must lie in (0, pi/2)")
             g_val = pinocchio_g(theta)
             if abs(g_val) > 1e-6:
                 warnings.append(
@@ -219,50 +234,31 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
         perim, area = pinocchio_measures(theta, alpha)
         perim += 2.0 * nose
         area += 2.0 * shape.nose_radius * nose
-        h = perim / area
         if alpha > 0.0:
             warnings.append("alpha > 0 truncates the nose; the reported h is "
                             "the region's own ratio")
-        out = Outcome(h=h, r=1.0 / h, residual=0.0, iterations=0,
-                      warnings=warnings, regions=[shape.region],
-                      cheeger=shape.region)
-        geo_gap = max(abs(shape.region.perimeter - perim) / perim,
-                      abs(shape.region.area - area) / area)
-        out.checks.append(Check("formula_geometry_agreement", geo_gap <= 1e-9,
-                                f"relative gap {geo_gap:.3e}"))
-        if theta_raw == "auto" and alpha == 0.0:
+        out = _closed_form_outcome(shape.region, perim, area, warnings)
+        if auto and alpha == 0.0:
             out.checks.append(Check(
                 "self_cheeger_identity",
-                abs(h - 1.0 / math.sin(theta)) <= 1e-9 * h,
-                f"h = {h!r} vs 1/sin(theta0)"))
+                abs(out.h - 1.0 / math.sin(theta)) <= 1e-9 * out.h,
+                f"h = {out.h!r} vs 1/sin(theta0)"))
             tau = min(nose, 1.0)
             out.balls = [(Vec2(math.cos(theta) + t, 0.0), shape.nose_radius)
                          for t in (0.0, 0.5 * tau, tau)] if nose > 0 else \
                         [(Vec2(math.cos(theta), 0.0), shape.nose_radius)]
         return out
     if kind == "two_ears":
-        theta_raw = spec.get("theta", "auto")
-        warnings = []
-        if theta_raw == "auto":
+        theta = _theta(spec, "two_ears")
+        auto = theta is None
+        if auto:
             theta = two_ears_theta()
-        else:
-            theta = _finite_number(theta_raw)
-            if theta is None:
-                raise SpecError("two_ears: 'theta' must be a number or 'auto'")
-            if not 0.0 < theta < 0.5 * math.pi:
-                raise SpecError("two_ears: 'theta' must lie in (0, pi/2)")
-            p, a = two_ears_measures(theta)
-            if abs(p * math.sin(theta) - a) > 1e-6:
-                warnings.append("theta is not the self-Cheeger root")
-        region = two_ears_region(theta)
         perim, area = two_ears_measures(theta)
-        h = perim / area
-        out = Outcome(h=h, r=1.0 / h, residual=0.0, iterations=0,
-                      warnings=warnings, regions=[region], cheeger=region)
-        geo_gap = max(abs(region.perimeter - perim) / perim,
-                      abs(region.area - area) / area)
-        out.checks.append(Check("formula_geometry_agreement", geo_gap <= 1e-9,
-                                f"relative gap {geo_gap:.3e}"))
+        warnings = []
+        if not auto and abs(perim * math.sin(theta) - area) > 1e-6:
+            warnings.append("theta is not the self-Cheeger root")
+        out = _closed_form_outcome(two_ears_region(theta), perim, area,
+                                   warnings)
         out.balls = [(Vec2(math.cos(theta), 0.0), math.sin(theta)),
                      (Vec2(-math.cos(theta), 0.0), math.sin(theta))]
         return out
@@ -271,42 +267,34 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
         if gap < 0.0:
             raise SpecError("bowtie: 'gap' must be nonnegative")
         bt = build_bowtie(gap)
-        out = Outcome(regions=[bt.region])
         if gap == 0.0:
             cand = bowtie_cheeger_candidate(bt)
-            out.h = cand.ratio
-            out.r = cand.radius
-            out.residual = abs(cand.ratio - 1.0 / cand.radius)
-            out.iterations = 0
-            out.cheeger = cand.region
-            out.warnings.append(
-                "candidate ratio from the four-arc construction; global "
-                "optimality is not certified")
             radii = {round(a.radius, 12) for a in cand.corner_arcs}
-            out.checks.append(Check(
-                "bowtie_four_congruent_arcs",
-                len(cand.corner_arcs) == 4 and len(radii) == 1,
-                f"arc radii {radii}"))
-            out.balls = [(a.center, cand.radius) for a in cand.corner_arcs]
-        else:
-            out.h = bt.region.perimeter / bt.region.area
-            out.r = 1.0 / out.h
-            out.residual = 0.0
-            out.iterations = 0
-            out.warnings.append(
-                "loose bow-tie: reported h is the domain's own ratio, an "
-                "upper bound only; the inner Cheeger formula fails here")
-            out.checks.append(Check(
-                "loose_bowtie_waist_angle", bt.alpha_corner > 0.5 * math.pi,
-                f"alpha = {bt.alpha_corner:.6f}"))
-        return out
+            return Outcome(
+                h=cand.ratio, r=cand.radius,
+                residual=abs(cand.ratio - 1.0 / cand.radius), iterations=0,
+                warnings=["candidate ratio from the four-arc construction; "
+                          "global optimality is not certified"],
+                regions=[bt.region], cheeger=cand.region,
+                checks=[Check("bowtie_four_congruent_arcs",
+                              len(cand.corner_arcs) == 4 and len(radii) == 1,
+                              f"arc radii {radii}")],
+                balls=[(a.center, cand.radius) for a in cand.corner_arcs])
+        h = bt.region.perimeter / bt.region.area
+        return Outcome(
+            h=h, r=1.0 / h, residual=0.0, iterations=0,
+            warnings=["loose bow-tie: reported h is the domain's own ratio, "
+                      "an upper bound only; the inner Cheeger formula fails "
+                      "here"],
+            regions=[bt.region],
+            checks=[Check("loose_bowtie_waist_angle",
+                          bt.alpha_corner > 0.5 * math.pi,
+                          f"alpha = {bt.alpha_corner:.6f}")])
     if kind == "two_balls":
         rep = two_balls_example()
-        out = Outcome(h=rep.h, r=1.0 / rep.h, residual=0.0, iterations=0,
-                      regions=list(rep.components),
-                      cheeger=rep.components[0])
-        out.checks.extend(rep.checks)
-        return out
+        return Outcome(h=rep.h, r=1.0 / rep.h, residual=0.0, iterations=0,
+                       regions=list(rep.components),
+                       cheeger=rep.components[0], checks=list(rep.checks))
     raise SpecError(f"unknown domain type {spec.get('type')!r}")
 
 
@@ -383,8 +371,11 @@ def render_svg(out: Outcome, path: str, show_inner: bool,
                 f'stroke-width="{stroke:.6g}" '
                 f'stroke-dasharray="{4 * stroke:.6g} {4 * stroke:.6g}"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(parts) + "\n")
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -404,35 +395,20 @@ def _load_spec(path: str) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args.file)
-        out = solve_domain(spec, allow_short=args.allow_short_strip)
-    except PropertyViolation as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except (SpecError, CheegerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    out = solve_domain(_load_spec(args.file),
+                       allow_short=args.allow_short_strip)
     log = [f"h = {out.h!r}, r = {out.r!r}"]
     log += [f"warning: {w}" for w in out.warnings]
     if args.svg:
-        try:
-            render_svg(out, args.svg, show_inner=True, show_cheeger=True,
-                       show_balls=False)
-            log.append(f"figure written to {args.svg}")
-        except OSError as exc:
-            print(f"error: cannot write {args.svg}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        render_svg(out, args.svg, show_inner=True, show_cheeger=True,
+                   show_balls=False)
+        log.append(f"figure written to {args.svg}")
     _emit(build_report(out), log)
     return EXIT_OK if all(c.passed for c in out.checks) else EXIT_VIOLATION
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     name = args.suite
-    if name not in SUITES:
-        print(f"error: unknown suite {name!r}; choose from "
-              f"{', '.join(sorted(SUITES))}", file=sys.stderr)
-        return EXIT_INPUT
     checks = run_suite(name)
     report = {
         "version": __version__,
@@ -448,19 +424,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    try:
-        spec = _load_spec(args.file)
-        out = solve_domain(spec, allow_short=args.allow_short_strip)
-        render_svg(out, args.out, show_inner=args.show_inner,
-                   show_cheeger=args.show_cheeger, show_balls=args.show_balls)
-    except (SpecError, CheegerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    out = solve_domain(_load_spec(args.file),
+                       allow_short=args.allow_short_strip)
+    render_svg(out, args.out, show_inner=args.show_inner,
+               show_cheeger=args.show_cheeger, show_balls=args.show_balls)
     print(f"figure written to {args.out}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if all(c.passed for c in out.checks) else EXIT_VIOLATION
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -486,7 +455,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_render.add_argument("--allow-short-strip", action="store_true")
     p_render.set_defaults(func=cmd_render)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PropertyViolation as exc:
+        print(f"property violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except (SpecError, CheegerError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from . import geom
 from .errors import EmptyInnerSet, InvalidGeometry, PropertyViolation
 from .geom import Arc, ArcPolygon, Segment, Vec2
 from .roots import bisect
-from .solver import DEFAULT_TOL, CheegerSolution, _bisect_inner_root
+from .solver import DEFAULT_TOL, CheegerSolution, _solve_inner_formula
 
 
 @dataclass(frozen=True)
@@ -208,28 +208,17 @@ def solve_convex(c: ConvexRegion, tol: float = DEFAULT_TOL) -> CheegerSolution:
     Cheeger set is the inner body offset back outward by r and is verified
     to stay inside the region by sampled containment.
     """
-
-    def measure(r: float) -> Optional[float]:
-        try:
-            return inner_parallel_body(c, r).area
-        except EmptyInnerSet:
-            return None
-
     hi = math.sqrt(c.area / math.pi)
-    r, iterations = _bisect_inner_root(measure, 1e-12 * hi, hi, tol)
-    e_r = inner_parallel_body(c, r).region
-    residual = abs(e_r.area - math.pi * r * r)
-    cheeger = geom.offset_outward_disk(e_r, r, reach_bound=math.inf)
+    sol = _solve_inner_formula(lambda r: inner_parallel_body(c, r).region,
+                               1e-12 * hi, hi, tol, reach_bound=math.inf)
     # rounding in the offset grows with the coordinates, not just the size
     scale = max(c.region.diameter, 1.0,
                 *(abs(v) for v in c.region.bounding_box))
-    for piece in cheeger.pieces:
+    for piece in sol.cheeger_set.pieces:
         for u in (0.0, 0.25, 0.5, 0.75):
             pt = piece.point_at(u)
             if geom.distance_to_boundary(c.region, pt) < -1e-9 * scale:
                 raise PropertyViolation(
                     "Cheeger set escapes the region at "
                     f"({pt.x:.6g}, {pt.y:.6g})")
-    return CheegerSolution(r=r, h=1.0 / r, inner_set=e_r, cheeger_set=cheeger,
-                           residual=residual, iterations=iterations,
-                           bounds=None)
+    return sol

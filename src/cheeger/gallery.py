@@ -254,17 +254,6 @@ def two_ears_region_stretched(t_left: float, t_right: float) -> ArcPolygon:
     return ArcPolygon([p for p in pieces if p is not None])
 
 
-@dataclass(frozen=True)
-class TwoEars:
-    theta: float
-    region: ArcPolygon
-
-
-def make_two_ears(theta=None) -> TwoEars:
-    th = two_ears_theta() if theta is None else float(theta)
-    return TwoEars(theta=th, region=two_ears_region(th))
-
-
 # ---------------------------------------------------------------------------
 # two disjoint balls
 

@@ -449,10 +449,6 @@ def winding_number(p: ArcPolygon, x: Vec2) -> float:
     return _nearest_and_winding(p, x)[1]
 
 
-def contains(p: ArcPolygon, x: Vec2) -> bool:
-    return winding_number(p, x) > 0.5
-
-
 def point_to_segment(x: Vec2, s: Segment) -> tuple:
     d = s.end - s.start
     dd = d.dot(d)

@@ -10,7 +10,7 @@ family serves as a cross-check oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
 
 from . import geom
@@ -136,14 +136,20 @@ def inner_area(st: Strip, r: float) -> float:
 # root solve
 
 
-def _bisect_inner_root(measure: Callable[[float], Optional[float]],
-                       lo: float, hi: float, tol: float
-                       ) -> Tuple[float, int]:
-    """Root of measure(r) - pi*r^2 with infeasible depths counted negative."""
+def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
+                         hi: float, tol: float,
+                         reach_bound: Optional[float] = None
+                         ) -> CheegerSolution:
+    """Solve area(inner(r)) = pi*r^2 on (lo, hi) and offset E_r back by r.
+
+    Depths where inner(r) is degenerate or empty count as -inf.  The
+    Cheeger set is E_r + B_r, offset under `reach_bound`.
+    """
 
     def f(r: float) -> float:
-        a = measure(r)
-        if a is None:
+        try:
+            a = inner(r).area
+        except (DegenerateInnerSet, EmptyInnerSet):
             return -math.inf
         return a - math.pi * r * r
 
@@ -161,7 +167,11 @@ def _bisect_inner_root(measure: Callable[[float], Optional[float]],
         return converged and width <= 1e-12 * max(hi, 1.0)
 
     _, _, r, iterations = bisect(f, lo, hi, done, MAX_ITERATIONS)
-    return r, iterations
+    e_r = inner(r)
+    residual = abs(e_r.area - math.pi * r * r)
+    cheeger = geom.offset_outward_disk(e_r, r, reach_bound)
+    return CheegerSolution(r=r, h=1.0 / r, inner_set=e_r, cheeger_set=cheeger,
+                           residual=residual, iterations=iterations)
 
 
 def solve_strip(st: Strip, allow_short: bool = False,
@@ -184,23 +194,12 @@ def solve_strip(st: Strip, allow_short: bool = False,
         warnings.append(
             "uncertified: normalized length below 9*pi/2, the four-arc "
             "structure and uniqueness are not guaranteed")
-
-    def measure(r: float) -> Optional[float]:
-        try:
-            return inner_area(st, r)
-        except (DegenerateInnerSet, EmptyInnerSet):
-            return None
-
-    r, iterations = _bisect_inner_root(measure, 1e-9 * s, s * (1.0 - 1e-9), tol)
-    e_r = inner_set(st, r)
-    residual = abs(e_r.area - math.pi * r * r)
-    cheeger = geom.offset_outward_disk(e_r, r)
+    sol = _solve_inner_formula(lambda r: inner_set(st, r), 1e-9 * s,
+                               s * (1.0 - 1e-9), tol)
     bounds = StripBounds(krepra_lower=(1.0 + 1.0 / (400.0 * L_norm)) / s,
                          krepra_upper=(1.0 + 2.0 / L_norm) / s,
                          asymptotic=(1.0 + math.pi / (2.0 * L_norm)) / s)
-    return CheegerSolution(r=r, h=1.0 / r, inner_set=e_r, cheeger_set=cheeger,
-                           residual=residual, iterations=iterations,
-                           bounds=bounds, warnings=tuple(warnings))
+    return replace(sol, bounds=bounds, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cheeger import cli
-from cheeger.errors import CheegerError
+from cheeger import cli, verify
+from cheeger.errors import CheegerError, NoRoot, PropertyViolation
 from cheeger.reporting import Check
 from conftest import straight_strip_root
 
@@ -29,6 +30,8 @@ def run_main(capsys, argv):
 
 STRIP_SPEC = {"type": "strip", "halfwidth": 1.0,
               "spine": [{"kind": "line", "length": 4.5 * math.pi}]}
+SQUARE_SPEC = {"type": "convex_polygon",
+               "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 
 
 def test_solve_strip(tmp_path, capsys):
@@ -247,21 +250,59 @@ def test_render_unwritable_path(tmp_path, capsys):
     assert "error" in err
 
 
-def test_solve_property_violation_exit_2(tmp_path, capsys, monkeypatch):
-    from cheeger.errors import PropertyViolation
+def exit_code_argv(command, tmp_path):
+    path = write_spec(tmp_path, "square.json", SQUARE_SPEC)
+    return {"solve": ["solve", path, "--svg", str(tmp_path / "fig.svg")],
+            "render": ["render", path, str(tmp_path / "fig.svg")],
+            "verify": ["verify", "doomed"]}[command]
 
-    def explode(spec, allow_short=False):
+
+@pytest.mark.parametrize("command", ["solve", "render", "verify"])
+def test_solve_property_violation_exit_2(command, tmp_path, capsys,
+                                         monkeypatch):
+    def explode(*args, **kwargs):
         raise PropertyViolation("synthetic structural failure")
 
     monkeypatch.setattr(cli, "solve_domain", explode)
-    path = write_spec(tmp_path, "strip.json", STRIP_SPEC)
-    code, _, err = run_main(capsys, ["solve", path])
+    monkeypatch.setitem(verify.SUITES, "doomed", explode)
+    code, out, err = run_main(capsys, exit_code_argv(command, tmp_path))
     assert code == 2
-    assert "property violation" in err
+    assert err == "property violation: synthetic structural failure\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "render", "verify"])
+def test_library_error_exit_1(command, tmp_path, capsys, monkeypatch):
+    def explode(*args, **kwargs):
+        raise NoRoot("synthetic bracket failure")
+
+    monkeypatch.setattr(cli, "solve_domain", explode)
+    monkeypatch.setitem(verify.SUITES, "doomed", explode)
+    code, out, err = run_main(capsys, exit_code_argv(command, tmp_path))
+    assert code == 1
+    assert err == "error: synthetic bracket failure\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "render"])
+def test_failing_check_exit_2_after_figure(command, tmp_path, capsys,
+                                           monkeypatch):
+    solve_domain = cli.solve_domain
+
+    def failing(spec, allow_short=False):
+        out = solve_domain(spec, allow_short)
+        out.checks.append(Check("always_fails", False, "by design"))
+        return out
+
+    monkeypatch.setattr(cli, "solve_domain", failing)
+    code, _, err = run_main(capsys, exit_code_argv(command, tmp_path))
+    assert code == 2
+    assert f"figure written to {tmp_path / 'fig.svg'}" in err
+    assert (tmp_path / "fig.svg").read_text().startswith("<svg")
 
 
 def test_verify_suite_failure_exit_2(capsys, monkeypatch):
-    monkeypatch.setitem(cli.SUITES, "doomed",
+    monkeypatch.setitem(verify.SUITES, "doomed",
                         lambda: [Check("always_fails", False, "by design")])
     code, out, err = run_main(capsys, ["verify", "doomed"])
     assert code == 2
@@ -293,3 +334,141 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["h"] == pytest.approx(2.0 + math.sqrt(math.pi), abs=1e-9)
+
+
+# One report per solve_domain branch, generated before the branches were
+# folded onto shared helpers: check names and verdicts in order, warnings,
+# bounds keys, iterations, and h and r to 1e-12 relative.
+STRIP_BOUNDS = ["asymptotic", "krepra_lower", "krepra_upper"]
+RESIDUAL_RATIO = [("inner_cheeger_residual", True),
+                  ("cheeger_ratio_identity", True)]
+UNCERTIFIED = ("uncertified: normalized length below 9*pi/2, the four-arc "
+               "structure and uniqueness are not guaranteed")
+PINNED_REPORTS = {
+    "certified_strip": (
+        {"type": "strip", "halfwidth": 1.0,
+         "spine": [{"kind": "arc", "length": 8.0, "curvature": 0.25},
+                   {"kind": "line", "length": 8.0}]}, False,
+        1.1006788277283732, 0.9085302404370235, 40, STRIP_BOUNDS,
+        RESIDUAL_RATIO + [("strip_bounds", True), ("free_boundary", True)],
+        []),
+    "short_strip": (
+        {"type": "strip", "halfwidth": 1.0,
+         "spine": [{"kind": "line", "length": 10.0}]}, True,
+        1.1630982442523121, 0.8597725986963738, 40, STRIP_BOUNDS,
+        RESIDUAL_RATIO + [("free_boundary", True)], [UNCERTIFIED]),
+    "square": (
+        SQUARE_SPEC, False, 3.772453850906155, 0.26507945213426454, 40, None,
+        RESIDUAL_RATIO + [("cheeger_set_contained", True)], []),
+    "pinocchio_nose": (
+        {"type": "pinocchio", "theta": "auto", "nose": 2.0}, False,
+        1.9744507641138367, 0.506469960241736, 0, None,
+        [("formula_geometry_agreement", True),
+         ("self_cheeger_identity", True)], []),
+    "pinocchio_theta_alpha": (
+        {"type": "pinocchio", "theta": 0.5, "alpha": 0.2}, False,
+        1.9810965232163236, 0.5047709630909317, 0, None,
+        [("formula_geometry_agreement", True)],
+        ["theta is not the self-Cheeger root: g(theta) = -1.684e-01",
+         "alpha > 0 truncates the nose; the reported h is the region's own "
+         "ratio"]),
+    "two_ears_auto": (
+        {"type": "two_ears"}, False, 1.9491539946875271, 0.5130430959921728,
+        0, None, [("formula_geometry_agreement", True)], []),
+    "two_ears_theta": (
+        {"type": "two_ears", "theta": 0.7}, False, 1.8683193798758728,
+        0.5352403934633692, 0, None, [("formula_geometry_agreement", True)],
+        ["theta is not the self-Cheeger root"]),
+    "bowtie_tight": (
+        {"type": "bowtie", "gap": 0}, False, 5.708717858956236,
+        0.17517068187756532, 0, None, [("bowtie_four_congruent_arcs", True)],
+        ["candidate ratio from the four-arc construction; global optimality "
+         "is not certified"]),
+    "bowtie_loose": (
+        {"type": "bowtie", "gap": 0.03}, False, 5.914404101792772,
+        0.16907874111897095, 0, None, [("loose_bowtie_waist_angle", True)],
+        ["loose bow-tie: reported h is the domain's own ratio, an upper "
+         "bound only; the inner Cheeger formula fails here"]),
+    "two_balls": (
+        {"type": "two_balls"}, False, 2.0, 0.5, 0, None,
+        [("two_balls_union_ratio", True), ("two_balls_component_ratios", True),
+         ("two_balls_h", True),
+         ("two_balls_union_of_balls_strictly_larger", True)], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_pinned_per_branch(name):
+    spec, allow_short, h, r, iterations, bounds, checks, warnings = \
+        PINNED_REPORTS[name]
+    report = cli.build_report(cli.solve_domain(spec, allow_short=allow_short))
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == checks
+    assert report["warnings"] == warnings
+    assert (None if report["bounds"] is None
+            else sorted(report["bounds"])) == bounds
+    assert report["iterations"] == iterations
+    assert report["h"] == pytest.approx(h, rel=1e-12)
+    assert report["r"] == pytest.approx(r, rel=1e-12)
+
+
+SPEC_FIELDS = ("type", "halfwidth", "spine", "vertices", "theta", "alpha",
+               "nose", "gap")
+DOMAIN_TYPES = ("strip", "convex_polygon", "pinocchio", "two_ears", "bowtie",
+                "two_balls")
+near_number = (st.floats(-0.5, 2.0) | st.integers(-1, 3)
+               | st.sampled_from([0.5 * math.pi, 1e-300, 1e300, "auto"]))
+spine_piece = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["line", "arc", "arc", "spiral"]),
+     "length": st.floats(-1.0, 20.0)},
+    optional={"curvature": st.floats(-1.0, 1.0) | near_number})
+near_strip = st.fixed_dictionaries(
+    {"type": st.just("strip"), "halfwidth": st.floats(0.2, 1.0) | json_values,
+     "spine": st.lists(spine_piece | json_values, min_size=1, max_size=3)})
+
+
+def polygon_on_circle(angles, radius):
+    return [[radius * math.cos(a), radius * math.sin(a)]
+            for a in sorted(angles)]
+
+
+near_polygon = st.fixed_dictionaries(
+    {"type": st.just("convex_polygon"),
+     "vertices": st.builds(polygon_on_circle,
+                           st.lists(st.floats(0.0, 6.0), max_size=7),
+                           st.floats(1e-3, 2.0))
+     | st.lists(st.lists(st.floats(-2.0, 2.0) | json_values,
+                         min_size=2, max_size=2) | json_values,
+                min_size=3, max_size=5)})
+near_gallery = st.fixed_dictionaries(
+    {"type": st.sampled_from(DOMAIN_TYPES[2:])},
+    optional={key: near_number for key in ("theta", "alpha", "nose", "gap")})
+any_fields = st.fixed_dictionaries(
+    {"type": st.sampled_from(DOMAIN_TYPES) | json_values},
+    optional={key: json_values for key in SPEC_FIELDS[1:]})
+any_object = st.dictionaries(st.sampled_from(SPEC_FIELDS) | st.text(max_size=3),
+                             json_values, max_size=4)
+
+
+@given(near_strip | near_polygon | near_gallery | any_fields | any_object
+       | json_values, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_whole_spec_fails_typed(spec, allow_short):
+    try:
+        json.dumps(cli.build_report(cli.solve_domain(spec, allow_short)))
+    except (cli.SpecError, CheegerError):
+        pass
+
+
+def test_render_gallery_script(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "render_gallery.py"
+    module_spec = importlib.util.spec_from_file_location("render_gallery",
+                                                         script)
+    render_gallery = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(render_gallery)
+    render_gallery.main(str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        render_gallery.FIGURES)
+    assert len(render_gallery.FIGURES) == 5
+    for name in render_gallery.FIGURES:
+        assert (tmp_path / name).read_text().startswith("<svg")
