@@ -1,9 +1,10 @@
 """Cheeger constants and Cheeger sets of convex plane regions and curved strips.
 
-The exact arc-polygon kernel lives in `geom`, the bisection shared by every
-root solve in `roots`, strips and their spinal curves in `spine`, the
-inner-Cheeger-formula solvers in `solver` (strips) and `convex` (convex
-regions), the worked example families in `gallery`, the independent
+The exact arc-polygon kernel lives in `geom`, the bisection shared by the
+gallery, inradius and ball-path root solves in `roots`, strips and their
+spinal curves in `spine`, the inner-Cheeger-formula solvers in `solver`
+(strips, and the safeguarded Newton solve both solvers share) and `convex`
+(convex regions), the worked example families in `gallery`, the independent
 raster/extrapolation oracles and check suites in `verify`, and the
 command-line front end in `cli`.
 """

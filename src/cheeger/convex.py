@@ -204,7 +204,8 @@ def inradius(c: ConvexRegion, tol: float = 1e-12) -> float:
 def solve_convex(c: ConvexRegion, tol: float = DEFAULT_TOL) -> CheegerSolution:
     """Cheeger constant and Cheeger set of a convex region.
 
-    r solves area(inner_parallel_body(r)) = pi*r^2 by bisection; the
+    r solves area(inner_parallel_body(r)) = pi*r^2 by safeguarded Newton
+    steps (`solver._solve_inner_formula`); the
     Cheeger set is the inner body offset back outward by r and is verified
     to stay inside the region by sampled containment.
     """

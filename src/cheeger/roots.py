@@ -1,10 +1,12 @@
-"""Bracketed bisection shared by every root solve in the library.
+"""Bracketed bisection shared by the root solves that have no derivative.
 
-The strip and convex solvers pin r = 1/h as the root of the inner Cheeger
-formula, the gallery fixes its self-Cheeger angles and the bow-tie corner
-radius as roots of their defining equations, and ball paths locate where a
-rolling ball first touches an end segment.  All of them halve one bracket;
-each caller keeps its own sign convention, stop rule and return choice.
+The gallery fixes its self-Cheeger angles and the bow-tie corner radius as
+roots of their defining equations, ball paths locate where a rolling ball
+first touches an end segment, and `convex.inradius` finds the largest
+feasible depth.  All of them halve one bracket; each caller keeps its own
+sign convention, stop rule and return choice.  The inner Cheeger formula
+has an exact derivative and is solved by safeguarded Newton steps in
+`solver._solve_inner_formula` instead.
 """
 from __future__ import annotations
 

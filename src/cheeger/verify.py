@@ -570,7 +570,7 @@ def run_oracle_suite() -> List[Check]:
         r_scan, _ = ratio_scan_oracle(st)
         checks.append(Check(
             f"cross_oracle_{name}", abs(sol.r - r_scan) <= 1e-5,
-            f"|r_bisect - r_scan| = {abs(sol.r - r_scan):.2e}"))
+            f"|r_solve - r_scan| = {abs(sol.r - r_scan):.2e}"))
     square = geom.polygon_from_points(
         [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
     theta0 = gallery.solve_pinocchio_theta()

@@ -349,16 +349,16 @@ PINNED_REPORTS = {
         {"type": "strip", "halfwidth": 1.0,
          "spine": [{"kind": "arc", "length": 8.0, "curvature": 0.25},
                    {"kind": "line", "length": 8.0}]}, False,
-        1.1006788277283732, 0.9085302404370235, 40, STRIP_BOUNDS,
+        1.1006788277283732, 0.9085302404370235, 4, STRIP_BOUNDS,
         RESIDUAL_RATIO + [("strip_bounds", True), ("free_boundary", True)],
         []),
     "short_strip": (
         {"type": "strip", "halfwidth": 1.0,
          "spine": [{"kind": "line", "length": 10.0}]}, True,
-        1.1630982442523121, 0.8597725986963738, 40, STRIP_BOUNDS,
+        1.1630982442523121, 0.8597725986963738, 4, STRIP_BOUNDS,
         RESIDUAL_RATIO + [("free_boundary", True)], [UNCERTIFIED]),
     "square": (
-        SQUARE_SPEC, False, 3.772453850906155, 0.26507945213426454, 40, None,
+        SQUARE_SPEC, False, 3.772453850906155, 0.26507945213426454, 4, None,
         RESIDUAL_RATIO + [("cheeger_set_contained", True)], []),
     "pinocchio_nose": (
         {"type": "pinocchio", "theta": "auto", "nose": 2.0}, False,

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cheeger import convex, geom, solver, verify
 from cheeger.errors import EmptyInnerSet, InvalidGeometry
@@ -78,7 +80,7 @@ def test_solve_unit_square():
     assert sol.h == pytest.approx(2.0 + SQRT_PI, abs=1e-9)
     assert sol.r == pytest.approx(1.0 / (2.0 + SQRT_PI), abs=1e-9)
     assert sol.residual <= 1e-10 * math.pi * sol.r ** 2
-    assert sol.iterations == 40
+    assert sol.iterations == 4
 
 
 def test_solve_triangle():
@@ -173,3 +175,29 @@ def test_solve_translated_far_from_origin(offset):
     h0 = convex.solve_convex(regular_region(7, Vec2(0.0, 0.0))).h
     far = convex.solve_convex(regular_region(7, Vec2(offset, offset)))
     assert far.h == pytest.approx(h0, rel=1e-8)
+
+
+@given(hst.lists(hst.floats(min_value=1.0, max_value=1.9), min_size=3,
+                 max_size=40),
+       hst.floats(min_value=-3.0, max_value=3.0),
+       hst.floats(min_value=0.0, max_value=2.0 * math.pi),
+       hst.floats(min_value=-10.0, max_value=10.0),
+       hst.floats(min_value=-10.0, max_value=10.0))
+@settings(max_examples=40, deadline=None)
+def test_tangential_polygon_matches_closed_form(weights, log_rho, turn, cx, cy):
+    # polygon circumscribed about a circle of radius rho: its inner parallel
+    # bodies are homothetic, so h = 1/rho + sqrt(pi/A) exactly; weights of
+    # at most 1.9 keep every gap between edge normals below pi
+    rho = 10.0 ** log_rho
+    center = Vec2(cx * rho, cy * rho)
+    verts, tan_sum, normal = [], 0.0, turn
+    for w in weights:
+        gap = 2.0 * math.pi * w / sum(weights)
+        tan_sum += math.tan(0.5 * gap)
+        verts.append(center + (rho / math.cos(0.5 * gap))
+                     * geom.unit_from_angle(normal + 0.5 * gap))
+        normal += gap
+    h = 1.0 / rho + math.sqrt(math.pi / (rho * rho * tan_sum))
+    sol = convex.solve_convex(convex.convex_from_points(verts))
+    assert sol.h == pytest.approx(h, rel=1e-12)
+    assert sol.iterations <= 12

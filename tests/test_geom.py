@@ -291,6 +291,26 @@ def test_signed_distance_matches_piece_queries(which, u, v, dx, dy):
         assert (sd > 0.0) == (depth(local) > 0.0)
 
 
+# check_free_boundary relies on this: a ball whose centre is at depth >= r
+# lies inside, with no sampling of the ball itself
+@given(st.integers(0, 2), fractions, fractions,
+       st.floats(min_value=-6.0, max_value=0.0),
+       st.floats(min_value=0.0, max_value=2.0 * math.pi), shifts, shifts)
+@settings(max_examples=150, deadline=None)
+def test_signed_distance_is_1_lipschitz(which, u, v, log_step, angle, dx, dy):
+    shape, _ = _kernel_shapes()[which]
+    x0, y0, x1, y1 = shape.bounding_box
+    shift = Vec2(dx, dy)
+    poly = shape.translated(shift)
+    x = Vec2(x0 - 0.5 + u * (x1 - x0 + 1.0),
+             y0 - 0.5 + v * (y1 - y0 + 1.0)) + shift
+    y = x + 10.0 ** log_step * geom.unit_from_angle(angle)
+    rounding = 4.0 * math.ulp(max(abs(x.x), abs(x.y), 1.0))
+    gap = abs(geom.distance_to_boundary(poly, x)
+              - geom.distance_to_boundary(poly, y))
+    assert gap <= x.distance(y) + rounding
+
+
 @given(st.integers(0, 1), fractions, st.floats(min_value=-1.0, max_value=1.0),
        shifts, shifts)
 @settings(max_examples=100, deadline=None)

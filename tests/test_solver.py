@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from cheeger import geom, solver, spine, verify
+from cheeger import cli, geom, solver, spine, verify
 from cheeger.errors import (DegenerateInnerSet, DomainError, EmptyInnerSet,
-                            PropertyViolation)
+                            NoRoot, PropertyViolation)
 from cheeger.geom import Arc, ArcPolygon, Vec2
 from conftest import straight_strip_root
 
@@ -68,7 +70,96 @@ def test_solve_straight_strip_against_quadratic(straight_strip_9pi2,
     assert sol.h == pytest.approx(1.0 / r_exact, abs=1e-9)
     assert sol.residual <= 1e-10 * math.pi * sol.r ** 2
     assert sol.h == 1.0 / sol.r  # h and r are exact reciprocals by definition
-    assert sol.iterations == 40
+    assert sol.iterations == 4
+
+
+def straight_strip_h(s: float, L: float) -> float:
+    """h of the L x 2s rectangle strip: 1/r with r the smaller root of
+    (4-pi) r^2 - (2L+4s) r + 2sL = 0, in the form that does not cancel."""
+    b = 2.0 * L + 4.0 * s
+    c = 2.0 * s * L
+    return (b + math.sqrt(b * b - 4.0 * (4.0 - math.pi) * c)) / (2.0 * c)
+
+
+# the stop rule must be relative: an absolute width test stopped the
+# halfwidth-1e-4 strip after 30 evaluations with h*s off by 4.7e-10
+@pytest.mark.parametrize("s", [1e-7, 1e-4, 1.0, 1e4, 1e6])
+def test_tiny_and_huge_straight_strips_solve_exactly(s):
+    spec = {"type": "strip", "halfwidth": s,
+            "spine": [{"kind": "line", "length": 20.0 * s}]}
+    report = cli.build_report(cli.solve_domain(spec))
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+    assert report["h"] * s == pytest.approx(1.0801318857980011, rel=1e-12)
+
+
+@given(hst.floats(min_value=-6.0, max_value=6.0),
+       hst.floats(min_value=4.5 * math.pi, max_value=400.0))
+@settings(max_examples=60, deadline=None)
+def test_straight_strip_matches_closed_form(log_s, length_ratio):
+    s = 10.0 ** log_s
+    L = length_ratio * s
+    sol = solver.solve_strip(spine.build_strip(spine.straight_spine(L), s))
+    assert sol.h == pytest.approx(straight_strip_h(s, L), rel=1e-12)
+    assert sol.iterations <= 12
+
+
+# ---------------------------------------------------------------------------
+# the safeguarded Newton solve on synthetic inner-set families
+
+
+def shrinking_disks(R: float, rate: float = 1.0, cut: float = math.inf,
+                    evaluated: list = None):
+    """inner(r) = disk of radius R - rate*r, empty beyond depth `cut`.
+
+    With rate 1 these are the inner sets of the disk of radius R, f is
+    linear and the root is R/2; in general the root is R/(rate + 1)."""
+
+    def inner(r: float) -> ArcPolygon:
+        if evaluated is not None:
+            evaluated.append(r)
+        if r > cut or R - rate * r <= 0.0:
+            raise EmptyInnerSet(f"empty at depth {r}")
+        return geom.disk(Vec2(0.3, -0.2), R - rate * r)
+
+    return inner
+
+
+def test_newton_solves_linear_formula_in_one_step():
+    R = 0.25
+    sol = solver._solve_inner_formula(shrinking_disks(R), 1e-12 * R, R,
+                                      solver.DEFAULT_TOL, math.inf)
+    assert sol.iterations == 1
+    assert sol.r == pytest.approx(0.5 * R, rel=1e-15)
+
+
+def test_newton_step_onto_empty_depth_falls_back_to_midpoint():
+    # from lo the Newton step lands near R/2, past the cut just above the
+    # root R/4, where the family is empty (f = -inf)
+    R = 1.0
+    root = R / 4.0
+    evaluated = []
+    inner = shrinking_disks(R, rate=3.0, cut=root * (1.0 + 1e-3),
+                            evaluated=evaluated)
+    sol = solver._solve_inner_formula(inner, 1e-9, 0.6 * R,
+                                      solver.DEFAULT_TOL, math.inf)
+    assert evaluated[2] > root * (1.0 + 1e-3)  # first step was infeasible
+    assert evaluated[3] == pytest.approx(0.5 * (1e-9 + evaluated[2]))
+    assert sol.r == pytest.approx(root, rel=1e-15)
+    assert sol.iterations <= 12
+
+
+def test_newton_without_sign_change_raises():
+    with pytest.raises(NoRoot):
+        solver._solve_inner_formula(shrinking_disks(1.0), 1e-9, 0.4,
+                                    solver.DEFAULT_TOL, math.inf)
+
+
+def test_newton_stops_at_iteration_cap(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
+    sol = solver._solve_inner_formula(shrinking_disks(1.0, rate=3.0), 1e-9,
+                                      0.3, solver.DEFAULT_TOL, math.inf)
+    assert sol.iterations == 2
+    assert sol.r != pytest.approx(0.25, rel=1e-12)
 
 
 def test_solve_L100_near_asymptotic():
