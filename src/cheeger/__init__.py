@@ -1,12 +1,13 @@
 """Cheeger constants and Cheeger sets of convex plane regions and curved strips.
 
-The exact arc-polygon kernel lives in `geom`, the bisection shared by the
-gallery, inradius and ball-path root solves in `roots`, strips and their
-spinal curves in `spine`, the inner-Cheeger-formula solvers in `solver`
-(strips, and the safeguarded Newton solve both solvers share) and `convex`
-(convex regions), the worked example families in `gallery`, the independent
-raster/extrapolation oracles and check suites in `verify`, and the
-command-line front end in `cli`.
+The exact arc-polygon kernel lives in `geom`, the fixed-width bisection
+shared by the gallery, inradius and ball-path root solves in `roots`, strips
+and their spinal curves in `spine`, the inner-Cheeger-formula solvers in
+`solver` (strips, and the safeguarded Newton solve both solvers share, whose
+stop rule is the constant `solver.RESIDUAL_TOL`) and `convex` (convex
+regions, with exact containment of the Cheeger set), the worked example
+families in `gallery`, the independent raster/extrapolation oracles and
+check suites in `verify`, and the command-line front end in `cli`.
 """
 
 __version__ = "0.1.0"
@@ -15,9 +16,9 @@ from .errors import (BallNotContained, CheegerError, DegenerateInnerSet,
                      DomainError, EmptyInnerSet, EmptyRegion, InvalidGeometry,
                      NoRoot, NotADiffeomorphism, PropertyViolation,
                      ReachViolation, SelfIntersecting)
-from .geom import (Arc, ArcPolygon, Point2, Segment, Vec2, area,
-                   distance_to_boundary, disk, offset_outward_disk, perimeter,
-                   polygon_from_points, reach_lower_bound, round_corners)
+from .geom import (Arc, ArcPolygon, Segment, Vec2, area, distance_to_boundary,
+                   disk, offset_outward_disk, perimeter, polygon_from_points,
+                   reach_lower_bound, round_corners)
 from .spine import (Spine, SpinePiece, Strip, ball_to_ball_path, build_strip,
                     circular_spine, jacobian, s_curve_spine, serpentine_spine,
                     straight_spine, strip_measures, sub_strip_measure)

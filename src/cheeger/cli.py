@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -23,7 +22,7 @@ from .gallery import (bowtie_cheeger_candidate, build_bowtie, make_pinocchio,
                       two_ears_theta)
 from .geom import ArcPolygon, Segment, Vec2
 from .reporting import Check
-from .solver import (DEFAULT_TOL, CheegerSolution, check_free_boundary,
+from .solver import (RESIDUAL_TOL, CheegerSolution, check_free_boundary,
                      solve_strip)
 from .spine import Spine, SpinePiece, build_strip
 from .verify import run_suite
@@ -50,19 +49,6 @@ class Outcome:
     inner: Optional[ArcPolygon] = None
     cheeger: Optional[ArcPolygon] = None
     balls: List[Tuple[Vec2, float]] = field(default_factory=list)
-
-
-def _tolerance() -> float:
-    raw = os.environ.get("CHEEGER_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise SpecError(f"CHEEGER_TOL is not a number: {raw!r}") from exc
-    if not 0.0 < tol < 1.0:
-        raise SpecError(f"CHEEGER_TOL out of range (0, 1): {tol}")
-    return tol
 
 
 def _finite_number(val) -> Optional[float]:
@@ -132,7 +118,7 @@ def _inner_formula_outcome(sol: CheegerSolution, region: ArcPolygon
         warnings=list(sol.warnings), regions=[region], inner=sol.inner_set,
         cheeger=sol.cheeger_set,
         checks=[Check("inner_cheeger_residual",
-                      sol.residual <= 1e-10 * math.pi * sol.r ** 2,
+                      sol.residual <= RESIDUAL_TOL * math.pi * sol.r ** 2,
                       f"|area(E_r) - pi r^2| = {sol.residual:.3e}"),
                 Check("cheeger_ratio_identity", err <= 1e-8,
                       f"perimeter/area vs h relative gap {err:.3e}")])
@@ -170,14 +156,13 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
     if not isinstance(spec, dict):
         raise SpecError("domain file must hold a JSON object")
     kind = spec.get("type")
-    tol = _tolerance()
     if kind == "strip":
         hw = _require_number(spec, "halfwidth", "strip")
         if hw <= 0.0:
             raise SpecError("strip: 'halfwidth' must be positive")
         spine = parse_spine(spec.get("spine"), hw)
         strip = build_strip(spine, hw)
-        sol = solve_strip(strip, allow_short=allow_short, tol=tol)
+        sol = solve_strip(strip, allow_short=allow_short)
         out = _inner_formula_outcome(sol, strip.boundary)
         if not sol.warnings:
             out.checks.append(Check(
@@ -206,10 +191,10 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
             region = convex_from_points(pts)
         except CheegerError as exc:
             raise SpecError(f"convex_polygon: {exc}") from exc
-        out = _inner_formula_outcome(solve_convex(region, tol=tol),
-                                     region.region)
+        out = _inner_formula_outcome(solve_convex(region), region.region)
         out.checks.append(Check("cheeger_set_contained", True,
-                                "sampled containment verified during solve"))
+                                "proven during solve: every vertex of E_r "
+                                "lies at depth >= r in the region"))
         return out
     if kind == "pinocchio":
         alpha = _optional_number(spec, "alpha", 0.0, "pinocchio")

@@ -17,7 +17,7 @@ from . import geom
 from .errors import EmptyInnerSet, InvalidGeometry, PropertyViolation
 from .geom import Arc, ArcPolygon, Segment, Vec2
 from .roots import bisect
-from .solver import DEFAULT_TOL, CheegerSolution, _solve_inner_formula
+from .solver import CheegerSolution, _solve_inner_formula
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def inner_parallel_body(c: ConvexRegion, r: float) -> ConvexRegion:
                 f"inner parallel body degenerates at depth {r}: {exc}") from exc
 
 
-def inradius(c: ConvexRegion, tol: float = 1e-12) -> float:
+def inradius(c: ConvexRegion) -> float:
     """Largest depth with a nonempty inner parallel body, by bisection."""
     x0, y0, x1, y1 = c.region.bounding_box
     hi = 0.5 * min(x1 - x0, y1 - y0) * (1.0 + 1e-9)
@@ -194,32 +194,61 @@ def inradius(c: ConvexRegion, tol: float = 1e-12) -> float:
             return -1.0
         return 1.0
 
-    def done(lo: float, hi: float, mid: float, val: float) -> bool:
-        return hi - lo <= tol * max(hi, 1.0)
-
-    lo, _, _, _ = bisect(feasible, 0.0, hi, done)
+    lo, _ = bisect(feasible, 0.0, hi, 1e-12 * max(hi, 1.0))
     return lo
 
 
-def solve_convex(c: ConvexRegion, tol: float = DEFAULT_TOL) -> CheegerSolution:
+def _arc_depth_floor(region: ArcPolygon, a: Arc) -> float:
+    """Lower bound on the depth, in the region, of the points of the inner
+    arc `a` whose outward normals lie inside its own angular range.
+
+    A source arc of radius R around the same centre (inner_parallel_body
+    keeps each arc's centre) makes the support function center.u + R along
+    its angular span, so those normals give depth R - a.radius.  Where `a`
+    overruns the span by delta, the source's end point still bounds the
+    support from below by center.u + R*cos(delta).  -inf without a source.
+    """
+    floor = -math.inf
+    for src in region.pieces:
+        if isinstance(src, Arc) and src.center == a.center:
+            s0 = (a.start_angle - src.start_angle + math.pi) % geom.TAU - math.pi
+            delta = max(0.0, -s0, s0 + a.sweep - src.sweep)
+            floor = max(floor,
+                        src.radius * math.cos(min(delta, math.pi)) - a.radius)
+    return floor
+
+
+def solve_convex(c: ConvexRegion) -> CheegerSolution:
     """Cheeger constant and Cheeger set of a convex region.
 
     r solves area(inner_parallel_body(r)) = pi*r^2 by safeguarded Newton
-    steps (`solver._solve_inner_formula`); the
-    Cheeger set is the inner body offset back outward by r and is verified
-    to stay inside the region by sampled containment.
+    steps (`solver._solve_inner_formula`); the Cheeger set is the inner body
+    E_r offset back outward by r.  It lies in the region exactly when depth
+    >= r on E_r.  Depth is the minimum over supporting lines of the distance
+    to the line, so it is concave and its minimum over the convex E_r lies
+    at a vertex or on an arc.  Along an arc, a line whose normal lies
+    outside the arc's angular range is nearest at an arc end, and the
+    normals inside it are bounded by `_arc_depth_floor`.  So testing each
+    vertex and each arc floor against r (less 1e-9*scale) is a proof.
     """
     hi = math.sqrt(c.area / math.pi)
     sol = _solve_inner_formula(lambda r: inner_parallel_body(c, r).region,
-                               1e-12 * hi, hi, tol, reach_bound=math.inf)
+                               1e-12 * hi, hi, reach_bound=math.inf)
     # rounding in the offset grows with the coordinates, not just the size
     scale = max(c.region.diameter, 1.0,
                 *(abs(v) for v in c.region.bounding_box))
-    for piece in sol.cheeger_set.pieces:
-        for u in (0.0, 0.25, 0.5, 0.75):
-            pt = piece.point_at(u)
-            if geom.distance_to_boundary(c.region, pt) < -1e-9 * scale:
-                raise PropertyViolation(
-                    "Cheeger set escapes the region at "
-                    f"({pt.x:.6g}, {pt.y:.6g})")
+    floor = sol.r - 1e-9 * scale
+    # each piece ends where the next one starts, up to the loop's closure
+    # gap, so the piece starts are all the vertices
+    for piece in sol.inner_set.pieces:
+        v = piece.start
+        depth = geom.distance_to_boundary(c.region, v)
+        if depth < floor:
+            raise PropertyViolation(
+                f"Cheeger set escapes the region: inner vertex "
+                f"({v.x:.6g}, {v.y:.6g}) lies at depth {depth:.6g} < r")
+        if isinstance(piece, Arc) and _arc_depth_floor(c.region, piece) < floor:
+            raise PropertyViolation(
+                f"Cheeger set containment unproven: the inner arc from "
+                f"({v.x:.6g}, {v.y:.6g}) leaves the span of its source arc")
     return sol

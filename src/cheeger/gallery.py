@@ -42,7 +42,7 @@ def pinocchio_g_prime(theta: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def solve_pinocchio_theta(tol: float = 1e-14) -> float:
+def solve_pinocchio_theta() -> float:
     """Root of the defining equation on (0, pi/2), with sign and slope checks."""
     if abs(pinocchio_g(0.0) + math.pi) > 1e-12:
         raise PropertyViolation("g(0) != -pi")
@@ -52,8 +52,7 @@ def solve_pinocchio_theta(tol: float = 1e-14) -> float:
         t = 0.5 * math.pi * k / 1000.0
         if pinocchio_g_prime(t) <= 0.0:
             raise PropertyViolation(f"g not increasing at theta={t}")
-    lo, hi, _, _ = bisect(lambda t: -pinocchio_g(t), 0.0, 0.5 * math.pi,
-                          lambda lo, hi, mid, val: hi - lo <= tol)
+    lo, hi = bisect(lambda t: -pinocchio_g(t), 0.0, 0.5 * math.pi, 1e-14)
     return 0.5 * (lo + hi)
 
 
@@ -204,7 +203,7 @@ def two_ears_region(theta: float) -> ArcPolygon:
 
 
 @lru_cache(maxsize=1)
-def two_ears_theta(tol: float = 1e-14) -> float:
+def two_ears_theta() -> float:
     """Unique angle at which the two-ears face is self-Cheeger."""
 
     def f(theta: float) -> float:
@@ -214,8 +213,7 @@ def two_ears_theta(tol: float = 1e-14) -> float:
     eps = 1e-12
     if not (f(eps) < 0.0 and f(0.5 * math.pi - eps) > 0.0):
         raise PropertyViolation("defining equation lost its sign change")
-    lo, hi, _, _ = bisect(lambda t: -f(t), eps, 0.5 * math.pi - eps,
-                          lambda lo, hi, mid, val: hi - lo <= tol)
+    lo, hi = bisect(lambda t: -f(t), eps, 0.5 * math.pi - eps, 1e-14)
     return 0.5 * (lo + hi)
 
 
@@ -383,8 +381,7 @@ def bowtie_cheeger_candidate(bt: BowTie) -> BowTieCandidate:
     lo = 1e-4
     if not (psi(lo) < 0.0 < psi(hi)):
         raise PropertyViolation("ratio identity root not bracketed")
-    lo, hi, _, _ = bisect(lambda a: -psi(a), lo, hi,
-                          lambda lo, hi, mid, val: hi - lo <= 1e-14, 120)
+    lo, hi = bisect(lambda a: -psi(a), lo, hi, 1e-14)
     a = 0.5 * (lo + hi)
     region = rounded(a)
     arcs = tuple(p for p in region.pieces if isinstance(p, Arc))

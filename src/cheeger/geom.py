@@ -68,15 +68,8 @@ class Vec2:
     def angle(self) -> float:
         return math.atan2(self.y, self.x)
 
-    def rotated(self, phi: float) -> "Vec2":
-        c, s = math.cos(phi), math.sin(phi)
-        return Vec2(c * self.x - s * self.y, s * self.x + c * self.y)
-
     def distance(self, other: "Vec2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-
-Point2 = Vec2
 
 
 def unit_from_angle(phi: float) -> Vec2:
@@ -160,10 +153,6 @@ class Arc:
     @property
     def kind(self) -> str:
         return "arc"
-
-    @property
-    def orientation(self) -> str:
-        return "ccw" if self.ccw else "cw"
 
     @property
     def length(self) -> float:
@@ -319,9 +308,6 @@ class ArcPolygon:
     def vertices(self) -> list:
         return [p.start for p in self.pieces]
 
-    def reversed_loop(self) -> "ArcPolygon":
-        return ArcPolygon(tuple(p.reversed() for p in reversed(self.pieces)))
-
     def translated(self, v: Vec2) -> "ArcPolygon":
         return ArcPolygon(tuple(p.translated(v) for p in self.pieces))
 
@@ -443,10 +429,6 @@ def _nearest_and_winding(p: ArcPolygon, x: Vec2) -> tuple:
                 w -= tau
         total += w
     return best, total / tau
-
-
-def winding_number(p: ArcPolygon, x: Vec2) -> float:
-    return _nearest_and_winding(p, x)[1]
 
 
 def point_to_segment(x: Vec2, s: Segment) -> tuple:

@@ -22,7 +22,7 @@ from .geom import Arc, ArcPolygon, Segment, Vec2
 from .reporting import Check
 from .spine import Strip, chain_pieces, level_chain
 
-DEFAULT_TOL = 1e-10
+RESIDUAL_TOL = 1e-10  # largest |f(r)| / (pi*r^2) accepted at the root
 MAX_ITERATIONS = 200
 MIN_CERTIFIED_LENGTH = 4.5 * math.pi  # normalized spine length, 9*pi/2
 
@@ -138,8 +138,7 @@ def inner_area(st: Strip, r: float) -> float:
 
 
 def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
-                         hi: float, tol: float,
-                         reach_bound: Optional[float] = None
+                         hi: float, reach_bound: Optional[float] = None
                          ) -> CheegerSolution:
     """Solve area(inner(r)) = pi*r^2 on (lo, hi) and offset E_r back by r.
 
@@ -149,9 +148,9 @@ def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
     leaves the current sign-change bracket, or starts from an infeasible
     depth, is replaced by the bracket midpoint.  Depths where inner(r) is
     degenerate or empty count as f = -inf.  The solve stops once the bracket
-    is narrower than 1e-13*hi, or once |f| <= tol*pi*r^2 and the next Newton
-    step would move r by at most 1e-13*r.  The Cheeger set is E_r + B_r,
-    offset under `reach_bound`.
+    is narrower than 1e-13*hi, or once |f| <= RESIDUAL_TOL*pi*r^2 and the
+    next Newton step would move r by at most 1e-13*r.  The Cheeger set is
+    E_r + B_r, offset under `reach_bound`.
     """
 
     def f(r: float) -> Tuple[Optional[ArcPolygon], float, float]:
@@ -179,7 +178,7 @@ def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
             hi = r
         if hi - lo <= 1e-13 * hi:
             break
-        if (math.isfinite(val) and abs(val) <= tol * math.pi * r * r
+        if (math.isfinite(val) and abs(val) <= RESIDUAL_TOL * math.pi * r * r
                 and abs(val / slope) <= 1e-13 * r):
             break
     if e_r is None:
@@ -189,8 +188,7 @@ def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
                            residual=abs(val), iterations=iterations)
 
 
-def solve_strip(st: Strip, allow_short: bool = False,
-                tol: float = DEFAULT_TOL) -> CheegerSolution:
+def solve_strip(st: Strip, allow_short: bool = False) -> CheegerSolution:
     """Cheeger constant, inner set and Cheeger set of a strip.
 
     The certified regime needs normalized length L/s >= 9*pi/2; shorter
@@ -210,7 +208,7 @@ def solve_strip(st: Strip, allow_short: bool = False,
             "uncertified: normalized length below 9*pi/2, the four-arc "
             "structure and uniqueness are not guaranteed")
     sol = _solve_inner_formula(lambda r: inner_set(st, r), 1e-9 * s,
-                               s * (1.0 - 1e-9), tol)
+                               s * (1.0 - 1e-9))
     bounds = StripBounds(krepra_lower=(1.0 + 1.0 / (400.0 * L_norm)) / s,
                          krepra_upper=(1.0 + 2.0 / L_norm) / s,
                          asymptotic=(1.0 + math.pi / (2.0 * L_norm)) / s)

@@ -369,9 +369,8 @@ def _level_tangency_parameter(st: Strip, rho: float, r: float,
     if clear(lo) >= 0.0:
         return lo
     width = 1e-12 * max(st.length, 1.0)
-    _, hi, _, _ = bisect(lambda t: -1.0 if clear(t) >= 0.0 else 1.0,
-                         lo, t_hint,
-                         lambda lo, hi, mid, val: hi - lo <= width, 80)
+    _, hi = bisect(lambda t: -1.0 if clear(t) >= 0.0 else 1.0, lo, t_hint,
+                   width)
     return hi
 
 

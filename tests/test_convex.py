@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from cheeger import convex, geom, solver, verify
-from cheeger.errors import EmptyInnerSet, InvalidGeometry
-from cheeger.geom import Vec2
+from cheeger.errors import EmptyInnerSet, InvalidGeometry, PropertyViolation
+from cheeger.geom import Arc, ArcPolygon, Segment, Vec2
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -162,6 +162,36 @@ def test_solve_segments_meeting_arcs(region, h):
     sol = convex.solve_convex(convex.ConvexRegion(region))
     assert sol.h == pytest.approx(h, rel=1e-10)
     assert sol.residual <= 1e-10 * math.pi * sol.r ** 2
+
+
+@pytest.mark.parametrize("region", [
+    pytest.param(square_region(), id="square"),
+    pytest.param(convex.convex_from_points(
+        [geom.unit_from_angle(2.0 * math.pi * k / 64) for k in range(64)]),
+        id="64gon"),
+    pytest.param(convex.convex_disk(Vec2(0.3, -0.2), 1.0, arcs=4), id="disk"),
+])
+def test_shallow_inner_body_is_caught(region, monkeypatch):
+    # an inner body built a relative 1e-6 too shallow puts its offset
+    # outside the region; the vertex depth test must see it
+    built = convex.inner_parallel_body
+    monkeypatch.setattr(convex, "inner_parallel_body",
+                        lambda c, r: built(c, r * (1.0 - 1e-6)))
+    with pytest.raises(PropertyViolation, match="inner vertex"):
+        convex.solve_convex(region)
+
+
+def test_arc_depth_floor_charges_span_overrun():
+    # half disk of radius 2: one source arc spanning [0, pi] around the origin
+    half = ArcPolygon([Arc.from_angles(Vec2(0.0, 0.0), 2.0, 0.0, math.pi),
+                       Segment(Vec2(-2.0, 0.0), Vec2(2.0, 0.0))])
+    inside = Arc.from_angles(Vec2(0.0, 0.0), 1.5, 0.1, 2.0)
+    assert convex._arc_depth_floor(half, inside) == pytest.approx(0.5)
+    overrun = Arc.from_angles(Vec2(0.0, 0.0), 1.5, -0.2, 2.0)
+    assert convex._arc_depth_floor(half, overrun) == pytest.approx(
+        2.0 * math.cos(0.2) - 1.5)
+    elsewhere = Arc.from_angles(Vec2(0.1, 0.0), 1.5, 0.1, 2.0)
+    assert convex._arc_depth_floor(half, elsewhere) == -math.inf
 
 
 def regular_region(n, center):

@@ -127,7 +127,7 @@ def shrinking_disks(R: float, rate: float = 1.0, cut: float = math.inf,
 def test_newton_solves_linear_formula_in_one_step():
     R = 0.25
     sol = solver._solve_inner_formula(shrinking_disks(R), 1e-12 * R, R,
-                                      solver.DEFAULT_TOL, math.inf)
+                                      math.inf)
     assert sol.iterations == 1
     assert sol.r == pytest.approx(0.5 * R, rel=1e-15)
 
@@ -140,8 +140,7 @@ def test_newton_step_onto_empty_depth_falls_back_to_midpoint():
     evaluated = []
     inner = shrinking_disks(R, rate=3.0, cut=root * (1.0 + 1e-3),
                             evaluated=evaluated)
-    sol = solver._solve_inner_formula(inner, 1e-9, 0.6 * R,
-                                      solver.DEFAULT_TOL, math.inf)
+    sol = solver._solve_inner_formula(inner, 1e-9, 0.6 * R, math.inf)
     assert evaluated[2] > root * (1.0 + 1e-3)  # first step was infeasible
     assert evaluated[3] == pytest.approx(0.5 * (1e-9 + evaluated[2]))
     assert sol.r == pytest.approx(root, rel=1e-15)
@@ -150,14 +149,13 @@ def test_newton_step_onto_empty_depth_falls_back_to_midpoint():
 
 def test_newton_without_sign_change_raises():
     with pytest.raises(NoRoot):
-        solver._solve_inner_formula(shrinking_disks(1.0), 1e-9, 0.4,
-                                    solver.DEFAULT_TOL, math.inf)
+        solver._solve_inner_formula(shrinking_disks(1.0), 1e-9, 0.4, math.inf)
 
 
 def test_newton_stops_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
     sol = solver._solve_inner_formula(shrinking_disks(1.0, rate=3.0), 1e-9,
-                                      0.3, solver.DEFAULT_TOL, math.inf)
+                                      0.3, math.inf)
     assert sol.iterations == 2
     assert sol.r != pytest.approx(0.25, rel=1e-12)
 
