@@ -212,8 +212,8 @@ def test_reports_are_deterministic(tmp_path, capsys):
 
 
 def test_tolerance_env_ignored(tmp_path, capsys, monkeypatch):
-    # the stop rule of the root solve is fixed; a stray CHEEGER_TOL, once
-    # read by the solver, changes nothing
+    # the root solve's stop rule is a constant, so a stray CHEEGER_TOL
+    # in the environment changes nothing
     path = write_spec(tmp_path, "strip.json", STRIP_SPEC)
     monkeypatch.delenv("CHEEGER_TOL", raising=False)
     code, plain, _ = run_main(capsys, ["solve", path])
