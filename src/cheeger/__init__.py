@@ -1,6 +1,7 @@
 """Cheeger constants and Cheeger sets of convex plane regions and curved strips.
 
-The exact arc-polygon kernel lives in `geom`, the fixed-width bisection
+The exact arc-polygon kernel lives in `geom` (areas and perimeters are the
+`area` and `perimeter` properties of `ArcPolygon`), the fixed-width bisection
 shared by the gallery, inradius and ball-path root solves in `roots`, strips
 and their spinal curves in `spine`, the inner-Cheeger-formula solvers in
 `solver` (strips, and the safeguarded Newton solve both solvers share, whose
@@ -16,9 +17,9 @@ from .errors import (BallNotContained, CheegerError, DegenerateInnerSet,
                      DomainError, EmptyInnerSet, EmptyRegion, InvalidGeometry,
                      NoRoot, NotADiffeomorphism, PropertyViolation,
                      ReachViolation, SelfIntersecting)
-from .geom import (Arc, ArcPolygon, Segment, Vec2, area, distance_to_boundary,
-                   disk, offset_outward_disk, perimeter, polygon_from_points,
-                   reach_lower_bound, round_corners)
+from .geom import (Arc, ArcPolygon, Segment, Vec2, distance_to_boundary, disk,
+                   offset_outward_disk, polygon_from_points, reach_lower_bound,
+                   round_corners)
 from .spine import (Spine, SpinePiece, Strip, ball_to_ball_path, build_strip,
                     circular_spine, jacobian, s_curve_spine, serpentine_spine,
                     straight_spine, strip_measures, sub_strip_measure)

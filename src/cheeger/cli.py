@@ -16,8 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 from . import __version__
 from .convex import convex_from_points, solve_convex
 from .errors import CheegerError, PropertyViolation
-from .gallery import (bowtie_cheeger_candidate, build_bowtie, make_pinocchio,
-                      pinocchio_g, pinocchio_measures, solve_pinocchio_theta,
+from .gallery import (bowtie_arcs_check, bowtie_cheeger_candidate,
+                      build_bowtie, pinocchio_g, pinocchio_measures,
+                      pinocchio_region, solve_pinocchio_theta,
                       two_balls_example, two_ears_measures, two_ears_region,
                       two_ears_theta)
 from .geom import ArcPolygon, Segment, Vec2
@@ -170,10 +171,10 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
                 sol.bounds.krepra_lower <= sol.h <= sol.bounds.krepra_upper,
                 f"h = {sol.h:.8f}"))
         try:
-            report = check_free_boundary(sol, strip)
-            out.checks.append(Check("free_boundary", report.passed,
-                                    f"{len(report.arcs)} free arcs verified"))
-            out.balls = [(fa.arc.center, sol.r) for fa in report.arcs]
+            arcs = check_free_boundary(sol, strip)
+            out.checks.append(Check("free_boundary", True,
+                                    f"{len(arcs)} free arcs verified"))
+            out.balls = [(fa.arc.center, sol.r) for fa in arcs]
         except PropertyViolation as exc:
             out.checks.append(Check("free_boundary", False, str(exc)))
         return out
@@ -215,23 +216,24 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
             raise SpecError("pinocchio: 'nose' must be nonnegative")
         if nose > 0.0 and alpha != 0.0:
             raise SpecError("pinocchio: nose extension requires alpha = 0")
-        shape = make_pinocchio(theta, alpha, nose)
+        nose_radius = math.sin(theta)
         perim, area = pinocchio_measures(theta, alpha)
         perim += 2.0 * nose
-        area += 2.0 * shape.nose_radius * nose
+        area += 2.0 * nose_radius * nose
         if alpha > 0.0:
             warnings.append("alpha > 0 truncates the nose; the reported h is "
                             "the region's own ratio")
-        out = _closed_form_outcome(shape.region, perim, area, warnings)
+        out = _closed_form_outcome(pinocchio_region(theta, alpha, nose),
+                                   perim, area, warnings)
         if auto and alpha == 0.0:
             out.checks.append(Check(
                 "self_cheeger_identity",
-                abs(out.h - 1.0 / math.sin(theta)) <= 1e-9 * out.h,
+                abs(out.h - 1.0 / nose_radius) <= 1e-9 * out.h,
                 f"h = {out.h!r} vs 1/sin(theta0)"))
             tau = min(nose, 1.0)
-            out.balls = [(Vec2(math.cos(theta) + t, 0.0), shape.nose_radius)
+            out.balls = [(Vec2(math.cos(theta) + t, 0.0), nose_radius)
                          for t in (0.0, 0.5 * tau, tau)] if nose > 0 else \
-                        [(Vec2(math.cos(theta), 0.0), shape.nose_radius)]
+                        [(Vec2(math.cos(theta), 0.0), nose_radius)]
         return out
     if kind == "two_ears":
         theta = _theta(spec, "two_ears")
@@ -254,16 +256,13 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
         bt = build_bowtie(gap)
         if gap == 0.0:
             cand = bowtie_cheeger_candidate(bt)
-            radii = {round(a.radius, 12) for a in cand.corner_arcs}
             return Outcome(
                 h=cand.ratio, r=cand.radius,
                 residual=abs(cand.ratio - 1.0 / cand.radius), iterations=0,
                 warnings=["candidate ratio from the four-arc construction; "
                           "global optimality is not certified"],
                 regions=[bt.region], cheeger=cand.region,
-                checks=[Check("bowtie_four_congruent_arcs",
-                              len(cand.corner_arcs) == 4 and len(radii) == 1,
-                              f"arc radii {radii}")],
+                checks=[bowtie_arcs_check(cand)],
                 balls=[(a.center, cand.radius) for a in cand.corner_arcs])
         h = bt.region.perimeter / bt.region.area
         return Outcome(

@@ -36,16 +36,13 @@ class ConvexRegion:
     def perimeter(self) -> float:
         return self.region.perimeter
 
-    def scaled(self, k: float) -> "ConvexRegion":
-        return ConvexRegion(self.region.scaled(k))
-
 
 def convex_from_points(points: Sequence[Vec2]) -> ConvexRegion:
     return ConvexRegion(geom.polygon_from_points(list(points)))
 
 
-def convex_disk(center: Vec2, radius: float, arcs: int = 4) -> ConvexRegion:
-    return ConvexRegion(geom.disk(center, radius, arcs))
+def convex_disk(center: Vec2, radius: float) -> ConvexRegion:
+    return ConvexRegion(geom.disk(center, radius))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from . import geom
-from .convex import ConvexRegion, convex_from_points, solve_convex
+from .convex import (ConvexRegion, convex_from_points, inner_parallel_body,
+                     solve_convex)
 from .errors import DomainError, EmptyInnerSet, InvalidGeometry, PropertyViolation
 from .geom import Arc, ArcPolygon, Segment, Vec2, arc_between
 from .reporting import Check
@@ -23,6 +24,7 @@ from .roots import bisect
 from .spine import Spine, SpinePiece, level_chain
 
 TAU = geom.TAU
+SELF_CHEEGER_GRID = 10_000  # alpha grid points of verify_self_cheeger
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +99,15 @@ def pinocchio_region(theta: float, alpha: float = 0.0,
     ])
 
 
-def pinocchio_region_bent(theta: float, nose: float,
-                          curvature: float = 0.8) -> ArcPolygon:
-    """Same family with the nose bent along an S-shaped spine of equal length."""
+def pinocchio_region_bent(theta: float, nose: float) -> ArcPolygon:
+    """Same family with the nose bent along an S-shaped spine of equal length.
+
+    The spine's curvature 0.8 times the nose radius sin(theta) stays below 1,
+    so the nose's level curves are regular."""
     if nose <= 0.0:
         raise DomainError("bent nose needs a positive length")
     s, c = math.sin(theta), math.cos(theta)
-    if curvature * s >= 1.0:
-        raise DomainError("nose curvature too strong for the nose radius")
-    spine = Spine((SpinePiece(0.5 * nose, curvature),
-                   SpinePiece(0.5 * nose, -curvature)),
+    spine = Spine((SpinePiece(0.5 * nose, 0.8), SpinePiece(0.5 * nose, -0.8)),
                   start_point=Vec2(c, 0.0))
     lo = [piece for piece, _, _ in level_chain(spine, -s)]
     hi = [piece.reversed() for piece, _, _ in reversed(level_chain(spine, s))]
@@ -133,14 +134,14 @@ def pinocchio_family(t: float) -> Tuple[float, float, float]:
     return area, perim, perim / area
 
 
-def verify_self_cheeger(theta0: float, grid: int = 10_000) -> List[Check]:
+def verify_self_cheeger(theta0: float) -> List[Check]:
     """Grid check that no nose truncation beats the full domain's ratio."""
     s0 = math.sin(theta0)
     alpha_max = 0.5 * math.pi - theta0
     worst_trig = math.inf
     worst_ratio = math.inf
-    for i in range(1, grid + 1):
-        alpha = alpha_max * i / grid
+    for i in range(1, SELF_CHEEGER_GRID + 1):
+        alpha = alpha_max * i / SELF_CHEEGER_GRID
         sa, ca = math.sin(alpha), math.cos(alpha)
         lhs = 0.5 * math.pi * (1.0 - 2.0 * ca + ca * ca)
         rhs = alpha * (1.0 - 2.0 * ca) + sa * ca
@@ -152,7 +153,8 @@ def verify_self_cheeger(theta0: float, grid: int = 10_000) -> List[Check]:
             worst_ratio = min(worst_ratio, p * s0 - a)
     checks = [
         Check("pinocchio_trig_inequality", worst_trig > 0.0,
-              f"min margin {worst_trig:.3e} over {grid}-point alpha grid"),
+              f"min margin {worst_trig:.3e} over {SELF_CHEEGER_GRID}-point "
+              "alpha grid"),
         Check("pinocchio_ratio_inequality", worst_ratio > 0.0,
               f"min of P*sin(theta0) - A is {worst_ratio:.3e}"),
     ]
@@ -160,23 +162,6 @@ def verify_self_cheeger(theta0: float, grid: int = 10_000) -> List[Check]:
         if not c.passed:
             raise PropertyViolation(f"{c.name}: {c.detail}")
     return checks
-
-
-@dataclass(frozen=True)
-class PinocchioShape:
-    theta: float
-    alpha: float
-    nose: float
-    region: ArcPolygon
-    nose_radius: float
-
-
-def make_pinocchio(theta=None, alpha: float = 0.0, nose: float = 0.0
-                   ) -> PinocchioShape:
-    th = solve_pinocchio_theta() if theta is None else float(theta)
-    return PinocchioShape(theta=th, alpha=alpha, nose=nose,
-                          region=pinocchio_region(th, alpha, nose),
-                          nose_radius=math.sin(th))
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +377,16 @@ def bowtie_cheeger_candidate(bt: BowTie) -> BowTieCandidate:
                            corner_arcs=arcs)
 
 
+def bowtie_arcs_check(cand: BowTieCandidate) -> Check:
+    """The candidate's corner arcs are four, with one radius and one sweep."""
+    radii = {round(a.radius, 12) for a in cand.corner_arcs}
+    sweeps = {round(a.sweep, 12) for a in cand.corner_arcs}
+    return Check(
+        "bowtie_four_congruent_arcs",
+        len(cand.corner_arcs) == 4 and len(radii) == 1 and len(sweeps) == 1,
+        f"radii {radii}, sweeps {sweeps}")
+
+
 def loose_bowtie_inner_formula(alpha_corner: float, r: float) -> float:
     """Area 2*alpha*r^2 of the loose bow-tie inner set at its Cheeger depth,
     which exceeds pi*r^2 whenever the waist half-angle exceeds pi/2."""
@@ -402,58 +397,26 @@ def loose_bowtie_inner_formula(alpha_corner: float, r: float) -> float:
     return 2.0 * alpha_corner * r * r
 
 
-def _mirror_x(p: ArcPolygon, axis_x: float) -> ArcPolygon:
-    def m(v: Vec2) -> Vec2:
-        return Vec2(2.0 * axis_x - v.x, v.y)
-
-    pieces: List = []
-    for piece in p.pieces:
-        if isinstance(piece, Segment):
-            pieces.append(Segment(m(piece.start), m(piece.end)))
-        else:
-            pieces.append(Arc(m(piece.start), m(piece.end), m(piece.center),
-                              piece.radius, not piece.ccw, piece.sweep))
-    return ArcPolygon(pieces)
-
-
 def loose_bowtie_inner_set(bt: BowTie, r: float) -> List[ArcPolygon]:
     """Both components of the loose bow-tie region at distance >= r from the
-    boundary.  Requires the waist to pinch the set apart (r > waist_y); the
-    two wedge tips then face each other across the waist at a gap below 2r,
-    so the pair cannot have reach r."""
+    boundary.  Requires the waist to pinch the set apart (r > waist_y); each
+    component is then the inner parallel body of the triangle bounded by an
+    end edge and its two sloped edges, extended to the axis.  The two wedge
+    tips face each other across the waist at a gap below 2r, so the pair
+    cannot have reach r."""
     if bt.gap <= 0.0:
         raise DomainError("use a positive gap for the loose bow-tie")
     if r <= bt.waist_y:
         raise DomainError(
             f"depth {r} does not disconnect the inner set (waist {bt.waist_y})")
-    w_hi = Vec2(bt.cut_x, bt.waist_y)
-    w_lo = Vec2(bt.cut_x, -bt.waist_y)
-    corner_b = Vec2(0.0, 0.5)
-    corner_a = Vec2(0.0, -0.5)
-    d_top = (w_hi - corner_b).unit()
-    d_bot = (w_lo - corner_a).unit()
-    # interior normals of the two left sloped edges
-    n_top = d_top.perp()
-    if n_top.y > 0.0:
-        n_top = -n_top
-    n_bot = d_bot.perp()
-    if n_bot.y < 0.0:
-        n_bot = -n_bot
-    top_pt = corner_b + r * n_top
-    bot_pt = corner_a + r * n_bot
-    # inward-offset edge lines meet on the symmetry axis at the wedge tip
-    tip_x = bot_pt.x + d_bot.x * (-bot_pt.y / d_bot.y)
-    tip = Vec2(tip_x, 0.0)
-    if tip.distance(w_hi) < r * (1.0 - 1e-12):
+    # the left half's sloped edges, extended, meet on the axis at x_a
+    x_a = bt.cut_x * 0.5 / (0.5 - bt.waist_y)
+    left = [Vec2(0.0, -0.5), Vec2(x_a, 0.0), Vec2(0.0, 0.5)]
+    right = [Vec2(2.0 * bt.cut_x - v.x, v.y) for v in left]
+    comps = [inner_parallel_body(convex_from_points(tri), r).region
+             for tri in (left, right)]
+    tip = max(comps[0].vertices(), key=lambda v: v.x)
+    if tip.distance(Vec2(bt.cut_x, bt.waist_y)) < r * (1.0 - 1e-12):
         raise EmptyInnerSet(
             "waist corner disk swallows the wedge tip; not a wedge regime")
-    p_lo = bot_pt + d_bot * ((r - bot_pt.x) / d_bot.x)
-    p_hi = top_pt + d_top * ((r - top_pt.x) / d_top.x)
-    if tip.x <= r or p_lo.y >= 0.0 or p_hi.y <= 0.0:
-        raise EmptyInnerSet(f"inner component degenerates at depth {r}")
-    left = ArcPolygon([
-        Segment(p_lo, tip),
-        Segment(tip, p_hi),
-        Segment(p_hi, p_lo),
-    ])
-    return [left, _mirror_x(left, bt.cut_x)]
+    return comps

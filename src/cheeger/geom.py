@@ -200,9 +200,9 @@ class Arc:
             return (phi - self.start_angle) % TAU
         return (self.start_angle - phi) % TAU
 
-    def contains_angle(self, phi: float, slop: float = 1e-9) -> bool:
+    def contains_angle(self, phi: float) -> bool:
         off = self.angle_offset(phi)
-        return off <= self.sweep + slop or off >= TAU - slop
+        return off <= self.sweep + 1e-9 or off >= TAU - 1e-9
 
     def reversed(self) -> "Arc":
         return Arc(self.end, self.start, self.center, self.radius,
@@ -321,31 +321,30 @@ class ArcPolygon:
 
 
 def _signed_area(pieces: Sequence[BoundaryPiece]) -> float:
-    # anchor at the first vertex; the integral is translation invariant and
-    # local coordinates avoid cancellation on small far-from-origin loops
-    ref = pieces[0].start
+    # Each junction enters once, as the midpoint of the end of one piece and
+    # the start of the next.  The two copies differ by up to coordinate*eps,
+    # and each piece would multiply its copy's error by its lever arm to the
+    # anchor.  Anchor at the first junction; the integral is translation
+    # invariant and local coordinates avoid cancellation on small
+    # far-from-origin loops.
+    n = len(pieces)
+    xs, ys = [], []
+    for i in range(n):
+        e, s = pieces[i - 1].end, pieces[i].start
+        xs.append(e.x + 0.5 * (s.x - e.x))
+        ys.append(e.y + 0.5 * (s.y - e.y))
+    x0, y0 = xs[0], ys[0]
     total = 0.0
-    for p in pieces:
-        a = p.start - ref
-        b = p.end - ref
+    for i, p in enumerate(pieces):
+        ax, ay = xs[i] - x0, ys[i] - y0
+        bx, by = xs[(i + 1) % n] - x0, ys[(i + 1) % n] - y0
         if isinstance(p, Segment):
-            total += 0.5 * a.cross(b)
+            total += 0.5 * (ax * by - ay * bx)
         else:
-            d = p.signed_sweep
-            c = p.center - ref
-            total += 0.5 * (p.radius * p.radius * d
-                            + c.x * (b.y - a.y) - c.y * (b.x - a.x))
+            cx, cy = p.center.x - x0, p.center.y - y0
+            total += 0.5 * (p.radius * p.radius * p.signed_sweep
+                            + cx * (by - ay) - cy * (bx - ax))
     return total
-
-
-def area(p: ArcPolygon) -> float:
-    """Enclosed area; positive for the normalized counterclockwise loop."""
-    return p.area
-
-
-def perimeter(p: ArcPolygon) -> float:
-    """Total boundary length: segment lengths plus radius*sweep per arc."""
-    return p.perimeter
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +628,10 @@ def junction_turns(p: ArcPolygon) -> list:
     return turns
 
 
-def is_convex(p: ArcPolygon, ang_tol: float = ANG_TOL) -> bool:
+def is_convex(p: ArcPolygon) -> bool:
     if any(isinstance(q, Arc) and not q.ccw for q in p.pieces):
         return False
-    return all(t >= -ang_tol for t in junction_turns(p))
+    return all(t >= -ANG_TOL for t in junction_turns(p))
 
 
 def reach_lower_bound(p: ArcPolygon) -> float:
@@ -644,14 +643,13 @@ def reach_lower_bound(p: ArcPolygon) -> float:
     piece pair whose midpoint lies outside at distance about half the pair
     gap, so nothing else is closer to it.
     """
-    if is_convex(p):
-        return math.inf
     if any(t < -ANG_TOL for t in junction_turns(p)):
         return 0.0
-    best = math.inf
-    for q in p.pieces:
-        if isinstance(q, Arc) and not q.ccw:
-            best = min(best, q.radius)
+    concave_radii = [q.radius for q in p.pieces
+                     if isinstance(q, Arc) and not q.ccw]
+    if not concave_radii:
+        return math.inf  # convex
+    best = min(concave_radii)
     pieces = p.pieces
     n = len(pieces)
     boxes = [q.bbox() for q in pieces]
@@ -740,15 +738,11 @@ def offset_outward_disk(p: ArcPolygon, rho: float,
                 offset_pieces.append((piece, Arc.from_angles(
                     piece.center, new_r, piece.start_angle, piece.signed_sweep)))
     out: list = []
-    n = len(offset_pieces)
-    for i in range(n):
-        orig, off = offset_pieces[i]
+    turns = junction_turns(p)
+    for i, (orig, off) in enumerate(offset_pieces):
         if off is not None:
             out.append(off)
-        nxt_orig, _ = offset_pieces[(i + 1) % n]
-        t_in = orig.tangent_at_end()
-        t_out = nxt_orig.tangent_at_start()
-        turn = math.atan2(t_in.cross(t_out), t_in.dot(t_out))
+        turn = turns[i]
         # a turn below ANG_TOL still needs its arc once rho*turn, the gap it
         # would leave, outgrows the loop's closure tolerance
         if turn > ANG_TOL or (turn > 0.0 and rho * turn > 1e-12 * scale):

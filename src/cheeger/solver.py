@@ -19,12 +19,12 @@ from . import geom
 from .errors import (DegenerateInnerSet, DomainError, EmptyInnerSet, NoRoot,
                      PropertyViolation)
 from .geom import Arc, ArcPolygon, Segment, Vec2
-from .reporting import Check
 from .spine import Strip, chain_pieces, level_chain
 
 RESIDUAL_TOL = 1e-10  # largest |f(r)| / (pi*r^2) accepted at the root
 MAX_ITERATIONS = 200
 MIN_CERTIFIED_LENGTH = 4.5 * math.pi  # normalized spine length, 9*pi/2
+SCAN_GRID = 100  # grid intervals per pass of ratio_scan_oracle
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def _strip_inner_measures(st: Strip, r: float) -> Optional[Tuple[float, float]]:
     return e.area, e.perimeter
 
 
-def ratio_scan_oracle(domain, grid: int = 100) -> Tuple[float, float]:
+def ratio_scan_oracle(domain) -> Tuple[float, float]:
     """Minimize the Cheeger ratio of the inner-offset family on an r grid.
 
     The family member at depth r is E_r + B_r; its measures come from the
@@ -235,8 +235,6 @@ def ratio_scan_oracle(domain, grid: int = 100) -> Tuple[float, float]:
     the root solver.  The grid is refined twice around the minimum.
     Accepts a Strip or a ConvexRegion.
     """
-    if grid < 100:
-        raise DomainError("grid must have at least 100 points")
     from .convex import ConvexRegion, inner_parallel_body
 
     if isinstance(domain, Strip):
@@ -266,8 +264,9 @@ def ratio_scan_oracle(domain, grid: int = 100) -> Tuple[float, float]:
     lo = hi * 1e-6
     best_r, best_q = hi, math.inf
     for _ in range(3):
-        step = (hi - lo) / grid
-        values = [(q(lo + i * step), lo + i * step) for i in range(1, grid)]
+        step = (hi - lo) / SCAN_GRID
+        values = [(q(lo + i * step), lo + i * step)
+                  for i in range(1, SCAN_GRID)]
         best_q, best_r = min(values)
         lo = max(best_r - step, lo)
         hi = min(best_r + step, hi)
@@ -284,16 +283,6 @@ class FreeArc:
     corner: Vec2
 
 
-@dataclass(frozen=True)
-class FreeBoundaryReport:
-    arcs: Tuple[FreeArc, ...]
-    checks: Tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _inner_corner_vertices(e_r: ArcPolygon) -> List[Vec2]:
     turns = geom.junction_turns(e_r)
     n = len(e_r.pieces)
@@ -301,8 +290,10 @@ def _inner_corner_vertices(e_r: ArcPolygon) -> List[Vec2]:
             for i in range(n) if abs(turns[i]) > 1e-6]
 
 
-def check_free_boundary(sol: CheegerSolution, st: Strip) -> FreeBoundaryReport:
-    """Verify the free-boundary structure of a solved strip.
+def check_free_boundary(sol: CheegerSolution, st: Strip
+                        ) -> Tuple[FreeArc, ...]:
+    """Verify the free-boundary structure of a solved strip and return its
+    free arcs.
 
     The free arcs are the corner arcs created by offsetting the inner set:
     radius r, sweep at most a half circle, osculating ball inside the strip,
@@ -320,38 +311,36 @@ def check_free_boundary(sol: CheegerSolution, st: Strip) -> FreeBoundaryReport:
             if piece.center.distance(c) <= 1e-9 * scale:
                 free.append(FreeArc(arc=piece, corner=c))
                 break
-    checks: List[Check] = []
 
-    def record(name: str, passed: bool, detail: str, arc: Optional[FreeArc]) -> None:
-        checks.append(Check(name, passed, detail))
+    def require(name: str, passed: bool, detail: str, arc: Optional[FreeArc]) -> None:
         if not passed:
             where = "" if arc is None else (
                 f" at corner ({arc.corner.x:.6g}, {arc.corner.y:.6g})")
             raise PropertyViolation(f"{name}{where}: {detail}")
 
-    record("free_arc_count", len(free) == 4,
-           f"found {len(free)} free arcs, expected 4 (one per strip corner)",
-           None)
+    require("free_arc_count", len(free) == 4,
+            f"found {len(free)} free arcs, expected 4 (one per strip corner)",
+            None)
     for fa in free:
         a = fa.arc
-        record("free_arc_radius", abs(a.radius - r) <= 1e-9 * max(1.0, r),
-               f"radius {a.radius!r} vs r {r!r}", fa)
-        record("free_arc_sweep", a.sweep <= math.pi + 1e-9,
-               f"sweep {a.sweep} exceeds pi", fa)
+        require("free_arc_radius", abs(a.radius - r) <= 1e-9 * max(1.0, r),
+                f"radius {a.radius!r} vs r {r!r}", fa)
+        require("free_arc_sweep", a.sweep <= math.pi + 1e-9,
+                f"sweep {a.sweep} exceeds pi", fa)
         # signed distance is 1-Lipschitz, so a centre at depth >= r - eps
         # puts every point of the ball at signed distance >= -eps
         center_depth = geom.distance_to_boundary(st.boundary, a.center)
-        record("free_arc_ball_inside", center_depth >= r - 1e-9 * scale,
-               f"osculating ball of radius {r} leaves the strip", fa)
+        require("free_arc_ball_inside", center_depth >= r - 1e-9 * scale,
+                f"osculating ball of radius {r} leaves the strip", fa)
         idx = sol.cheeger_set.pieces.index(a)
         n = len(sol.cheeger_set.pieces)
         prev = sol.cheeger_set.pieces[idx - 1]
         nxt = sol.cheeger_set.pieces[(idx + 1) % n]
         d_in = _tangent_gap(prev.tangent_at_end(), a.tangent_at_start())
         d_out = _tangent_gap(a.tangent_at_end(), nxt.tangent_at_start())
-        record("free_arc_tangency", max(d_in, d_out) <= 1e-9,
-               f"tangent jump {max(d_in, d_out):.3e} rad at contact", fa)
-    return FreeBoundaryReport(arcs=tuple(free), checks=tuple(checks))
+        require("free_arc_tangency", max(d_in, d_out) <= 1e-9,
+                f"tangent jump {max(d_in, d_out):.3e} rad at contact", fa)
+    return tuple(free)
 
 
 def _tangent_gap(u: Vec2, v: Vec2) -> float:

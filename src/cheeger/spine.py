@@ -128,9 +128,8 @@ def _advance(p: Vec2, theta: float, kappa: float, ds: float) -> Tuple[Vec2, floa
 # spine builders ------------------------------------------------------------
 
 
-def straight_spine(length: float, start: Vec2 = Vec2(0.0, 0.0),
-                   direction: Vec2 = Vec2(1.0, 0.0)) -> Spine:
-    return Spine((SpinePiece(length, 0.0),), start, direction)
+def straight_spine(length: float) -> Spine:
+    return Spine((SpinePiece(length, 0.0),))
 
 
 def circular_spine(curvature: float, length: float) -> Spine:

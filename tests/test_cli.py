@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cheeger import cli, verify
+from cheeger import cli, spine, verify
 from cheeger.errors import CheegerError, NoRoot, PropertyViolation
 from cheeger.reporting import Check
 from conftest import straight_strip_root
@@ -116,6 +116,12 @@ def test_solve_bowtie(tmp_path, capsys):
     report = json.loads(out)
     assert report["h"] < 6.16
     assert report["warnings"]
+
+
+def test_bowtie_arcs_check_matches_gallery_suite():
+    out = cli.solve_domain({"type": "bowtie", "gap": 0})
+    suite = {c.name: c for c in verify.run_gallery_suite()}
+    assert out.checks == [suite["bowtie_four_congruent_arcs"]]
 
 
 def test_malformed_json_exit_1(tmp_path, capsys):
@@ -398,6 +404,18 @@ PINNED_REPORTS = {
          ("two_balls_h", True),
          ("two_balls_union_of_balls_strictly_larger", True)], []),
 }
+
+
+def test_long_serpentine_strip_passes_every_check():
+    # 430 boundary pieces with coordinates near 300: the two copies of each
+    # junction differ by about coordinate*eps, which once pushed the area
+    # residual past its bound
+    sp = spine.serpentine_spine(0.3, 500.0)
+    spec = {"type": "strip", "halfwidth": 1.0,
+            "spine": [{"kind": "arc", "length": p.length,
+                       "curvature": p.curvature} for p in sp.pieces]}
+    out = cli.solve_domain(spec)
+    assert [c for c in out.checks if not c.passed] == []
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))

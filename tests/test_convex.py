@@ -169,7 +169,7 @@ def test_solve_segments_meeting_arcs(region, h):
     pytest.param(convex.convex_from_points(
         [geom.unit_from_angle(2.0 * math.pi * k / 64) for k in range(64)]),
         id="64gon"),
-    pytest.param(convex.convex_disk(Vec2(0.3, -0.2), 1.0, arcs=4), id="disk"),
+    pytest.param(convex.convex_disk(Vec2(0.3, -0.2), 1.0), id="disk"),
 ])
 def test_shallow_inner_body_is_caught(region, monkeypatch):
     # an inner body built a relative 1e-6 too shallow puts its offset

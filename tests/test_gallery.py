@@ -61,7 +61,7 @@ def test_self_cheeger_ratio_identity():
 
 def test_self_cheeger_grid_checks():
     theta0 = gallery.solve_pinocchio_theta()
-    checks = gallery.verify_self_cheeger(theta0, grid=10_000)
+    checks = gallery.verify_self_cheeger(theta0)
     assert all(c.passed for c in checks)
 
 

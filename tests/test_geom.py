@@ -41,6 +41,21 @@ def test_clockwise_input_normalized():
     assert geom.is_convex(cw)
 
 
+def test_area_of_loop_with_junction_gaps():
+    # a 1000 x 1 rectangle of 2002 segments whose ends all overshoot the
+    # next start by 1e-9 upward, inside the closure tolerance; the area may
+    # be off by at most perimeter * gap, however far the gaps are from the
+    # anchor
+    corners = ([Vec2(float(x), 0.0) for x in range(1001)]
+               + [Vec2(float(x), 1.0) for x in range(1000, -1, -1)])
+    gap = Vec2(0.0, 1e-9)
+    n = len(corners)
+    loop = ArcPolygon([Segment(corners[i], corners[(i + 1) % n] + gap)
+                       for i in range(n)])
+    assert len(loop.pieces) == 2002
+    assert abs(loop.area - 1000.0) <= 2002.0 * 1e-9
+
+
 def test_open_loop_rejected():
     with pytest.raises(InvalidGeometry):
         ArcPolygon([Segment(Vec2(0, 0), Vec2(1, 0)),
@@ -99,7 +114,7 @@ def test_reach_concave_vertex():
 
 
 def test_reach_notched_stadium():
-    shape = verify.notched_stadium(notch=0.2)
+    shape = verify.notched_stadium()
     bound = geom.reach_lower_bound(shape)
     assert bound <= 0.2 + 1e-12
     assert bound > 0.0
@@ -108,7 +123,7 @@ def test_reach_notched_stadium():
 def test_reach_bound_respected_by_nearest_point_scan():
     # brute force: just outside the notch every probe within the certified
     # reach must keep a unique nearest boundary point
-    shape = verify.notched_stadium(notch=0.2)
+    shape = verify.notched_stadium()
     bound = geom.reach_lower_bound(shape)
     probes = []
     for i in range(40):
