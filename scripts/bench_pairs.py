@@ -73,7 +73,6 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
     """One perfbench run; its last stdout line, or the error it ended in."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env.pop("CHEEGER_TOL", None)
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
            "--trace", str(trace)]

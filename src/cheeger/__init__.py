@@ -7,8 +7,10 @@ and their spinal curves in `spine`, the inner-Cheeger-formula solvers in
 `solver` (strips, and the safeguarded Newton solve both solvers share, whose
 stop rule is the constant `solver.RESIDUAL_TOL`) and `convex` (convex
 regions, with exact containment of the Cheeger set), the worked example
-families in `gallery`, the independent raster/extrapolation oracles and
-check suites in `verify`, and the command-line front end in `cli`.
+families in `gallery` (closed forms where the geometry gives one; failed
+checks come back as `Check` records, not exceptions), the independent
+raster/extrapolation oracles and check suites in `verify`, and the
+command-line front end in `cli`.
 """
 
 __version__ = "0.1.0"
@@ -24,8 +26,8 @@ from .spine import (Spine, SpinePiece, Strip, ball_to_ball_path, build_strip,
                     circular_spine, jacobian, s_curve_spine, serpentine_spine,
                     straight_spine, strip_measures, sub_strip_measure)
 from .solver import (CheegerSolution, StripBounds, check_free_boundary,
-                     inner_area, inner_set, ratio_scan_oracle, solve_strip)
-from .convex import (ConvexRegion, convex_disk, convex_from_points, inradius,
+                     inner_set, ratio_scan_oracle, solve_strip)
+from .convex import (ConvexRegion, convex_from_points, inradius,
                      inner_parallel_body, solve_convex)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -41,10 +41,6 @@ def convex_from_points(points: Sequence[Vec2]) -> ConvexRegion:
     return ConvexRegion(geom.polygon_from_points(list(points)))
 
 
-def convex_disk(center: Vec2, radius: float) -> ConvexRegion:
-    return ConvexRegion(geom.disk(center, radius))
-
-
 # ---------------------------------------------------------------------------
 # inner parallel body by inward offsetting with vertex clipping
 

@@ -380,7 +380,7 @@ def _nearest_and_winding(p: ArcPolygon, x: Vec2) -> tuple:
 
     One pass over plain floats that evaluates the expressions of
     point_to_segment, point_to_arc and the per-piece winding angle (chord
-    angle plus a full turn when x sees the arc's far side) in their order,
+    angle, in the arc's own sense when x is inside its circle) in their order,
     so the distance equals the least point_to_piece distance bit for bit
     and the winding angles add up in piece order.
     """
@@ -421,11 +421,8 @@ def _nearest_and_winding(p: ArcPolygon, x: Vec2) -> tuple:
         by = ey - py
         w = atan2(ax * by - ay * bx, ax * bx + ay * by)
         if is_arc and r < radius:
-            side = (ex - sx) * (py - sy) - (ey - sy) * (px - sx)
-            if ccw and side < 0.0:
-                w += tau
-            elif not ccw and side > 0.0:
-                w -= tau
+            # seen from inside its circle an arc turns only its own way
+            w = w % tau if ccw else -(-w % tau)
         total += w
     return best, total / tau
 

@@ -128,11 +128,6 @@ def inner_set(st: Strip, r: float) -> ArcPolygon:
                       + [Segment(p_tl, p_bl)])
 
 
-def inner_area(st: Strip, r: float) -> float:
-    """Area of the inner set; strictly decreasing in r."""
-    return inner_set(st, r).area
-
-
 # ---------------------------------------------------------------------------
 # root solve
 
@@ -219,14 +214,6 @@ def solve_strip(st: Strip, allow_short: bool = False) -> CheegerSolution:
 # independent ratio-scan oracle
 
 
-def _strip_inner_measures(st: Strip, r: float) -> Optional[Tuple[float, float]]:
-    try:
-        e = inner_set(st, r)
-    except (DegenerateInnerSet, EmptyInnerSet):
-        return None
-    return e.area, e.perimeter
-
-
 def ratio_scan_oracle(domain) -> Tuple[float, float]:
     """Minimize the Cheeger ratio of the inner-offset family on an r grid.
 
@@ -240,25 +227,22 @@ def ratio_scan_oracle(domain) -> Tuple[float, float]:
     if isinstance(domain, Strip):
         hi = domain.halfwidth * (1.0 - 1e-9)
 
-        def measures(r: float) -> Optional[Tuple[float, float]]:
-            return _strip_inner_measures(domain, r)
+        def inner(r: float) -> ArcPolygon:
+            return inner_set(domain, r)
     elif isinstance(domain, ConvexRegion):
         hi = math.sqrt(domain.region.area / math.pi)
 
-        def measures(r: float) -> Optional[Tuple[float, float]]:
-            try:
-                e = inner_parallel_body(domain, r)
-            except EmptyInnerSet:
-                return None
-            return e.region.area, e.region.perimeter
+        def inner(r: float) -> ArcPolygon:
+            return inner_parallel_body(domain, r).region
     else:
         raise DomainError(f"cannot scan a {type(domain).__name__}")
 
     def q(r: float) -> float:
-        m = measures(r)
-        if m is None:
+        try:
+            e = inner(r)
+        except (DegenerateInnerSet, EmptyInnerSet):
             return math.inf
-        a, p = m
+        a, p = e.area, e.perimeter
         return (p + 2.0 * math.pi * r) / (a + r * p + math.pi * r * r)
 
     lo = hi * 1e-6

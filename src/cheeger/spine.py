@@ -41,20 +41,16 @@ class Spine:
 
     pieces: Tuple[SpinePiece, ...]
     start_point: Vec2 = Vec2(0.0, 0.0)
-    start_direction: Vec2 = Vec2(1.0, 0.0)
     _states: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         if not self.pieces:
             raise InvalidGeometry("spine needs at least one piece")
-        d = self.start_direction
-        if abs(d.norm() - 1.0) > 1e-9:
-            object.__setattr__(self, "start_direction", d.unit())
         # cumulative (t, point, direction angle) at the start of each piece
         states = []
         t = 0.0
         p = self.start_point
-        theta = self.start_direction.angle()
+        theta = 0.0  # every spine starts along +x
         for piece in self.pieces:
             states.append((t, p, theta))
             p, theta = _advance(p, theta, piece.curvature, piece.length)
@@ -110,7 +106,7 @@ class Spine:
     def scaled(self, k: float) -> "Spine":
         return Spine(tuple(SpinePiece(p.length * k, p.curvature / k)
                            for p in self.pieces),
-                     self.start_point * k, self.start_direction)
+                     self.start_point * k)
 
 
 def _advance(p: Vec2, theta: float, kappa: float, ds: float) -> Tuple[Vec2, float]:

@@ -237,18 +237,17 @@ def minkowski_content(p: ArcPolygon) -> float:
 
     The offset area of a positive-reach region is exactly quadratic in rho,
     so the two-point extrapolation is exact up to roundoff and matches the
-    perimeter.  The largest probe shrinks to stay within certified reach.
+    perimeter.  The probes shrink to stay within certified reach.
     """
     rb = geom.reach_lower_bound(p)
     if rb <= 0.0:
         raise ReachViolation("region has no certified positive reach")
     base = min(1e-2 * p.diameter, 0.5 * rb)
-    rhos = [base, 0.5 * base, 0.25 * base]
     growth = []
-    for rho in rhos:
+    for rho in (0.5 * base, 0.25 * base):
         grown = geom.offset_outward_disk(p, rho, reach_bound=rb)
         growth.append((grown.area - p.area) / rho)
-    return 2.0 * growth[2] - growth[1]
+    return 2.0 * growth[1] - growth[0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +547,9 @@ def run_oracle_suite() -> List[Check]:
             build_strip(circular_spine(0.3, 4.5 * math.pi), 1.0),
         "s_curve_L24": build_strip(s_curve_spine(4.0 / 24.0, 24.0), 1.0),
     }
+    sols = {}
     for name, st in scan_strips.items():
-        sol = solve_strip(st)
+        sol = sols[name] = solve_strip(st)
         r_scan, _ = ratio_scan_oracle(st)
         checks.append(Check(
             f"cross_oracle_{name}", abs(sol.r - r_scan) <= 1e-5,
@@ -557,10 +557,8 @@ def run_oracle_suite() -> List[Check]:
     square = geom.polygon_from_points(
         [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
     theta0 = gallery.solve_pinocchio_theta()
-    st = build_strip(straight_spine(4.5 * math.pi), 1.0)
-    sol = solve_strip(st)
-    st_curved = build_strip(serpentine_spine(0.5, 4.5 * math.pi), 1.0)
-    sol_curved = solve_strip(st_curved)
+    sol = sols["straight_L9pi2"]
+    sol_curved = sols["serpentine_k05_L9pi2"]
     shapes = {
         "square": square,
         "disk": geom.disk(Vec2(0, 0), 1.0),

@@ -28,7 +28,8 @@ def ladder():
 
 def test_criterion_01_disks():
     for radius in (0.5, 1.0, 3.0):
-        sol = convex.solve_convex(convex.convex_disk(Vec2(0, 0), radius))
+        sol = convex.solve_convex(
+            convex.ConvexRegion(geom.disk(Vec2(0, 0), radius)))
         assert abs(sol.h - 2.0 / radius) <= 1e-10
     _pass(1, "h(disk R) = 2/R for R in {0.5, 1, 3} within 1e-10")
 
@@ -105,7 +106,7 @@ def test_criterion_07_inner_cheeger_consistency(ladder):
         ratio = (p_r + 2.0 * math.pi * sol.r) / \
             (a_r + sol.r * p_r + math.pi * sol.r ** 2)
         worst = max(worst, abs(ratio - 1.0 / sol.r) * sol.r)
-    for region in (convex.convex_disk(Vec2(0, 0), 1.0),
+    for region in (convex.ConvexRegion(geom.disk(Vec2(0, 0), 1.0)),
                    convex.convex_from_points(
                        [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)]),
                    convex.convex_from_points(

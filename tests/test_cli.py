@@ -310,6 +310,21 @@ def test_failing_check_exit_2_after_figure(command, tmp_path, capsys,
     assert (tmp_path / "fig.svg").read_text().startswith("<svg")
 
 
+def test_failed_free_boundary_is_reported(tmp_path, capsys, monkeypatch):
+    def explode(sol, st):
+        raise PropertyViolation("synthetic free-boundary failure")
+
+    monkeypatch.setattr(cli, "check_free_boundary", explode)
+    out = cli.solve_domain(STRIP_SPEC)
+    assert out.checks[-1] == Check("free_boundary", False,
+                                   "synthetic free-boundary failure")
+    path = write_spec(tmp_path, "strip.json", STRIP_SPEC)
+    code, stdout, _ = run_main(capsys, ["solve", path])
+    assert code == 2
+    report = json.loads(stdout)
+    assert report["checks"][-1]["pass"] is False
+
+
 def test_verify_suite_failure_exit_2(capsys, monkeypatch):
     monkeypatch.setitem(verify.SUITES, "doomed",
                         lambda: [Check("always_fails", False, "by design")])

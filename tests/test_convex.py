@@ -41,7 +41,7 @@ def test_inner_body_square():
 
 
 def test_inner_body_disk():
-    disk = convex.convex_disk(Vec2(0, 0), 1.0)
+    disk = convex.ConvexRegion(geom.disk(Vec2(0, 0), 1.0))
     inner = convex.inner_parallel_body(disk, 0.4)
     assert inner.area == pytest.approx(math.pi * 0.36, abs=1e-12)
 
@@ -70,7 +70,8 @@ def test_inner_body_drops_vanished_edges():
 
 def test_solve_disks_exact():
     for radius in (0.5, 1.0, 3.0):
-        sol = convex.solve_convex(convex.convex_disk(Vec2(0, 0), radius))
+        sol = convex.solve_convex(
+            convex.ConvexRegion(geom.disk(Vec2(0, 0), radius)))
         assert sol.h == pytest.approx(2.0 / radius, abs=1e-10)
         assert sol.r == pytest.approx(0.5 * radius, abs=1e-10)
 
@@ -97,14 +98,14 @@ def test_square_scan_oracle():
 
 def test_ratio_identity():
     for region in (square_region(), triangle_region(),
-                   convex.convex_disk(Vec2(0, 0), 2.0)):
+                   convex.ConvexRegion(geom.disk(Vec2(0, 0), 2.0))):
         sol = convex.solve_convex(region)
         ratio = sol.cheeger_set.perimeter / sol.cheeger_set.area
         assert ratio == pytest.approx(sol.h, abs=1e-9 * sol.h)
 
 
 def test_steiner_closure_disk_equality():
-    disk = convex.convex_disk(Vec2(0, 0), 1.0)
+    disk = convex.ConvexRegion(geom.disk(Vec2(0, 0), 1.0))
     inner = convex.inner_parallel_body(disk, 0.3)
     back = geom.offset_outward_disk(inner.region, 0.3, reach_bound=math.inf)
     assert back.area == pytest.approx(disk.area, rel=1e-12)
@@ -164,12 +165,82 @@ def test_solve_segments_meeting_arcs(region, h):
     assert sol.residual <= 1e-10 * math.pi * sol.r ** 2
 
 
+def lens(radius, d, center):
+    """Intersection of two disks of the given radius, centres d apart."""
+    h = math.sqrt(radius * radius - 0.25 * d * d)
+    top, bottom = center + Vec2(0.0, h), center + Vec2(0.0, -h)
+    return ArcPolygon([
+        geom.arc_between(bottom, top, center + Vec2(-0.5 * d, 0.0), ccw=True),
+        geom.arc_between(top, bottom, center + Vec2(0.5 * d, 0.0), ccw=True)])
+
+
+def lens_root(radius, d):
+    # the inner body at depth r is the lens of radius rho = radius - r
+    def f(r):
+        rho = radius - r
+        return (2.0 * rho * rho * math.acos(d / (2.0 * rho))
+                - 0.5 * d * math.sqrt(4.0 * rho * rho - d * d)
+                - math.pi * r * r)
+
+    lo, hi = 0.0, radius - 0.5 * d
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+# the lens corners are arc-arc junctions whose vertex queries land on the
+# chords of the boundary arcs
+@pytest.mark.parametrize("radius, d", [(1.0, 1.0), (1.0, 1.5), (2.0, 1.0)])
+@pytest.mark.parametrize("center", [Vec2(0.0, 0.0), Vec2(3.0, 7.0)])
+def test_solve_lens_closed_form(radius, d, center):
+    sol = convex.solve_convex(convex.ConvexRegion(lens(radius, d, center)))
+    assert sol.r == pytest.approx(lens_root(radius, d), rel=1e-14)
+
+
+HALF_DISK = ArcPolygon([Arc.from_angles(Vec2(0.0, 0.0), 1.0, 0.0, math.pi),
+                        Segment(Vec2(-1.0, 0.0), Vec2(1.0, 0.0))])
+_UNIT_SEGMENT = Arc.from_angles(Vec2(0.0, 0.0), 1.0, -1.0, 2.0)
+
+
+# convex corners where a segment meets an arc at an angle
+@pytest.mark.parametrize("region", [
+    pytest.param(HALF_DISK, id="half-disk"),
+    pytest.param(ArcPolygon([
+        Segment(Vec2(0.0, 0.0), Vec2(1.0, 0.0)),
+        Arc.from_angles(Vec2(0.0, 0.0), 1.0, 0.0, 0.5 * math.pi),
+        Segment(Vec2(0.0, 1.0), Vec2(0.0, 0.0))]), id="quarter-disk"),
+    pytest.param(ArcPolygon([
+        _UNIT_SEGMENT, Segment(_UNIT_SEGMENT.end, _UNIT_SEGMENT.start)]),
+        id="circular-segment"),
+    pytest.param(ArcPolygon([
+        Segment(Vec2(0.0, -1.0), Vec2(1.0, -1.0)),
+        geom.arc_between(Vec2(1.0, -1.0), Vec2(1.0, 1.0), Vec2(0.5, 0.0),
+                         ccw=True),
+        Segment(Vec2(1.0, 1.0), Vec2(0.0, 1.0)),
+        Segment(Vec2(0.0, 1.0), Vec2(0.0, -1.0))]), id="D"),
+])
+def test_solve_segments_cornering_arcs(region):
+    c = convex.ConvexRegion(region)
+    sol = convex.solve_convex(c)
+    ratio = sol.cheeger_set.perimeter / sol.cheeger_set.area
+    assert ratio == pytest.approx(sol.h, rel=1e-12)
+    r_scan, _ = solver.ratio_scan_oracle(c)
+    assert sol.r == pytest.approx(r_scan, abs=1e-5)
+
+
+def test_solve_half_disk():
+    sol = convex.solve_convex(convex.ConvexRegion(HALF_DISK))
+    assert sol.h == pytest.approx(3.154289847262, abs=1e-12)
+
+
 @pytest.mark.parametrize("region", [
     pytest.param(square_region(), id="square"),
     pytest.param(convex.convex_from_points(
         [geom.unit_from_angle(2.0 * math.pi * k / 64) for k in range(64)]),
         id="64gon"),
-    pytest.param(convex.convex_disk(Vec2(0.3, -0.2), 1.0), id="disk"),
+    pytest.param(convex.ConvexRegion(geom.disk(Vec2(0.3, -0.2), 1.0)),
+                 id="disk"),
 ])
 def test_shallow_inner_body_is_caught(region, monkeypatch):
     # an inner body built a relative 1e-6 too shallow puts its offset

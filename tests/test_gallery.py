@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cheeger import gallery, geom
+from cheeger import gallery, geom, verify
 from cheeger.errors import DomainError
 
 
@@ -63,6 +63,19 @@ def test_self_cheeger_grid_checks():
     theta0 = gallery.solve_pinocchio_theta()
     checks = gallery.verify_self_cheeger(theta0)
     assert all(c.passed for c in checks)
+
+
+def test_failed_ratio_inequality_is_reported(monkeypatch):
+    # a truncated nose with 0.1% more area would beat the full domain
+    measures = gallery.pinocchio_measures
+
+    def inflated(theta, alpha):
+        p, a = measures(theta, alpha)
+        return (p, 1.001 * a) if alpha > 0.0 else (p, a)
+
+    monkeypatch.setattr(gallery, "pinocchio_measures", inflated)
+    failed = [c.name for c in verify.run_suite("gallery") if not c.passed]
+    assert failed == ["pinocchio_ratio_inequality"]
 
 
 def test_family_ratio_constant():

@@ -102,6 +102,24 @@ def test_distance_examples(unit_square, unit_disk):
         pytest.approx(0.7, abs=1e-12)
 
 
+def test_points_on_arc_chords_inside_disk(unit_disk):
+    # on an arc's chord the chord angle is +-pi by the sign of a rounded
+    # zero; the arc must still add its own half turn
+    for arc in unit_disk.pieces:
+        for k in range(1, 20):
+            q = arc.start + (arc.end - arc.start) * (k / 20.0)
+            assert geom.distance_to_boundary(unit_disk, q) == pytest.approx(
+                1.0 - q.norm(), abs=1e-12)
+
+
+def test_notch_chord_points_outside():
+    # the notch of radius 0.2 around (1.5, 1) is cut out of the stadium
+    shape = verify.notched_stadium()
+    for x in (1.35, 1.4, 1.45, 1.5, 1.55, 1.6, 1.65):
+        assert geom.distance_to_boundary(shape, Vec2(x, 1.0)) == \
+            pytest.approx(-(0.2 - abs(x - 1.5)), abs=1e-12)
+
+
 def test_reach_convex(unit_square, unit_disk):
     assert geom.reach_lower_bound(unit_square) == math.inf
     assert geom.reach_lower_bound(unit_disk) == math.inf
@@ -150,6 +168,21 @@ def test_simple_check_catches_crossing():
     crossed = [Segment(Vec2(0, 0), Vec2(5, 0)), Segment(Vec2(5, 0), Vec2(0, 3)),
                Segment(Vec2(0, 3), Vec2(3, 3)), Segment(Vec2(3, 3), Vec2(0, 0))]
     poly = ArcPolygon(crossed)
+    with pytest.raises(SelfIntersecting):
+        geom.assert_simple(poly)
+
+
+@pytest.mark.parametrize("bottom, top", [
+    # a clockwise top arc that dips through the bottom segment
+    (Segment(Vec2(0, 0), Vec2(4, 0)),
+     geom.arc_between(Vec2(4, 1), Vec2(0, 1), Vec2(2, 1.5), ccw=False)),
+    # two clockwise arcs that bulge across each other
+    (geom.arc_between(Vec2(0, 0), Vec2(4, 0), Vec2(2, -1), ccw=False),
+     geom.arc_between(Vec2(4, 1), Vec2(0, 1), Vec2(2, 2), ccw=False)),
+], ids=["segment-arc", "arc-arc"])
+def test_simple_check_catches_crossing_arcs(bottom, top):
+    poly = ArcPolygon([bottom, Segment(Vec2(4, 0), Vec2(4, 1)), top,
+                       Segment(Vec2(0, 1), Vec2(0, 0))])
     with pytest.raises(SelfIntersecting):
         geom.assert_simple(poly)
 

@@ -49,10 +49,10 @@ def test_inner_area_closed_form():
     L = 4.5 * math.pi
     st = spine.build_strip(spine.straight_spine(L), 1.0)
     for r in (0.1, 0.4, 0.7, 0.9):
-        assert solver.inner_area(st, r) == pytest.approx(
+        assert solver.inner_set(st, r).area == pytest.approx(
             rect_inner_area(L, r), rel=1e-12)
     # vanishing limit
-    assert solver.inner_area(st, 1.0 - 1e-7) < 1e-5 * L
+    assert solver.inner_set(st, 1.0 - 1e-7).area < 1e-5 * L
 
 
 def test_inner_area_vs_raster():
@@ -203,7 +203,7 @@ def test_root_sign_changes_once_serpentine():
     for i in range(1, 300):
         r = i / 300.0
         try:
-            val = solver.inner_area(st, r) - math.pi * r * r
+            val = solver.inner_set(st, r).area - math.pi * r * r
         except (DegenerateInnerSet, EmptyInnerSet):
             val = -1.0
         if prev is not None and (val < 0.0) != (prev < 0.0):

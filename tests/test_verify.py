@@ -53,6 +53,20 @@ def test_two_component_mask_perimeter():
     assert verify.grid_area(mask) == pytest.approx(16.0)
 
 
+# cells that meet only at a corner make a saddle, where the loop takes the
+# rightmost turn: two diagonal cells give one loop of 8 corners; a 3x3 ring
+# without its centre and two opposite corners gives an outer loop of 12 and
+# the hole's loop of 4
+@pytest.mark.parametrize("bits, loops, perimeter", [
+    (np.eye(2, dtype=bool), [8], 0.8),
+    (~np.eye(3, dtype=bool), [4, 12], 1.6),
+], ids=["diagonal", "ring"])
+def test_saddle_corner_masks(bits, loops, perimeter):
+    assert sorted(len(loop) for loop in verify._boundary_loops(bits)) == loops
+    mask = verify.GridMask(cell=0.1, origin=Vec2(0, 0), bits=bits)
+    assert verify.grid_perimeter(mask) == pytest.approx(perimeter, rel=1e-12)
+
+
 def test_minkowski_content_matches_perimeter(unit_square, unit_disk):
     for shape in (unit_square, unit_disk, verify.stadium(2.0, 1.0),
                   verify.notched_stadium()):
@@ -106,6 +120,12 @@ def test_steiner_suite_passes():
 
 def test_gallery_suite_passes():
     checks = verify.run_suite("gallery")
+    assert checks and all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("name", ["bounds", "asymptotic"])
+def test_ladder_suites_pass(name):
+    checks = verify.run_suite(name)
     assert checks and all(c.passed for c in checks)
 
 
