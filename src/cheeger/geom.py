@@ -2,8 +2,8 @@
 
 Areas and perimeters are closed-form (Green's theorem with circular-segment
 terms), offsets by a disk stay inside the same representation, and distance
-queries are per-piece projections, run as one loop over plain floats per
-query.  Everything is immutable and pure.
+queries and piece-pair scans search a tree of bounding boxes over runs of
+consecutive pieces, built once per loop.  Everything is immutable and pure.
 """
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ TAU = 2.0 * math.pi
 REL_TOL = 1e-12
 # Angular tolerance used when classifying junction turns.
 ANG_TOL = 1e-9
+# Directions of the axis-extreme points of a circle.
+_QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ class Arc:
     def bbox(self) -> tuple:
         xs = [self.start.x, self.end.x]
         ys = [self.start.y, self.end.y]
-        for k, phi in enumerate((0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)):
+        for phi in _QUARTER_TURNS:
             if self.contains_angle(phi):
                 p = self.center + self.radius * unit_from_angle(phi)
                 xs.append(p.x)
@@ -252,7 +254,8 @@ class ArcPolygon:
     share endpoints to within 1e-12 of the loop diameter.
     """
 
-    __slots__ = ("pieces", "_area", "_perimeter", "_bbox", "_flat")
+    __slots__ = ("pieces", "_area", "_perimeter", "_bbox", "_flat", "_tree",
+                 "_turns")
 
     def __init__(self, pieces: Sequence[BoundaryPiece]):
         pieces = tuple(pieces)
@@ -287,6 +290,8 @@ class ArcPolygon:
         self._perimeter = sum(p.length for p in pieces)
         self._bbox = (min(xs), min(ys), max(xs), max(ys))
         self._flat = None  # filled by _flat_pieces
+        self._tree = None  # filled by _piece_tree
+        self._turns = None  # filled by junction_turns
 
     @property
     def area(self) -> float:
@@ -375,6 +380,88 @@ def _flat_pieces(p: ArcPolygon) -> tuple:
     return flat
 
 
+def _piece_tree(p: ArcPolygon) -> tuple:
+    """Bounding boxes of runs of consecutive pieces, built on first use.
+
+    Returns (boxes, nodes).  boxes[i] is the box of piece i, equal to
+    pieces[i].bbox() bit for bit.  nodes[k] = (x0, y0, x1, y1, lo, hi) bounds
+    pieces lo..hi-1; its children 2k+1 and 2k+2 halve the run, down to
+    single pieces, and unused numbers hold None.  Consecutive pieces are
+    neighbours in the plane, so the runs have compact boxes.
+
+    Node boxes are padded by 1e-9 of the loop's coordinates plus diameter,
+    which covers the rounding of a computed piece distance, and each arc by
+    2e-9 of its radius on top: the per-piece distance of
+    _nearest_and_winding projects onto the arc extended by 1e-9 rad at both
+    ends.  A piece whose computed distance to x is d therefore lies in node
+    boxes within d of x, up to the rounding of x's own coordinates.  Filled
+    like _flat_pieces, by one assignment of a finished tuple.
+    """
+    tree = p._tree
+    if tree is None:
+        base = 1e-9 * (max(map(abs, p._bbox)) + p.diameter)
+        boxes, pads = [], []
+        for is_arc, row in _flat_pieces(p):
+            if is_arc:
+                # the expressions of Arc.bbox and Arc.contains_angle
+                sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
+                xs, ys = [sx, ex], [sy, ey]
+                for phi in _QUARTER_TURNS:
+                    off = (phi - a0) % TAU if ccw else (a0 - phi) % TAU
+                    if off <= sweep + 1e-9 or off >= TAU - 1e-9:
+                        xs.append(cx + math.cos(phi) * radius)
+                        ys.append(cy + math.sin(phi) * radius)
+                boxes.append((min(xs), min(ys), max(xs), max(ys)))
+                pads.append(base + 2e-9 * radius)
+            else:
+                sx, sy, ex, ey = row[:4]
+                boxes.append((min(sx, ex), min(sy, ey), max(sx, ex), max(sy, ey)))
+                pads.append(base)
+        nodes: list = [None] * (4 * len(boxes))
+
+        def fill(k: int, lo: int, hi: int) -> tuple:
+            if hi - lo == 1:
+                bx0, by0, bx1, by1 = boxes[lo]
+                pad = pads[lo]
+                box = (bx0 - pad, by0 - pad, bx1 + pad, by1 + pad)
+            else:
+                mid = (lo + hi) // 2
+                a = fill(2 * k + 1, lo, mid)
+                b = fill(2 * k + 2, mid, hi)
+                box = (min(a[0], b[0]), min(a[1], b[1]),
+                       max(a[2], b[2]), max(a[3], b[3]))
+            nodes[k] = box + (lo, hi)
+            return box
+
+        fill(0, 0, len(boxes))
+        while nodes[-1] is None:
+            nodes.pop()
+        tree = p._tree = (tuple(boxes), tuple(nodes))
+    return tree
+
+
+def _near_pieces(nodes: tuple, box: tuple, first: int, reach: float) -> list:
+    """Pieces j >= first, ascending, whose node boxes come within `reach` of
+    `box` along both axes.  Each exact box gap along an axis is at least the
+    gap of any node box that holds it, so every j whose exact _bbox_gap to
+    `box` is at most `reach` is listed."""
+    qx0, qy0, qx1, qy1 = box
+    found = []
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        x0, y0, x1, y1, lo, hi = nodes[k]
+        if (hi <= first or qx0 - x1 > reach or x0 - qx1 > reach
+                or qy0 - y1 > reach or y0 - qy1 > reach):
+            continue
+        if hi - lo == 1:
+            found.append(lo)
+        else:
+            stack.append(2 * k + 2)  # the left child pops first
+            stack.append(2 * k + 1)
+    return found
+
+
 def _nearest_and_winding(p: ArcPolygon, x: Vec2) -> tuple:
     """Distance from x to the boundary and the winding number around x.
 
@@ -457,10 +544,119 @@ def point_to_piece(x: Vec2, piece: BoundaryPiece) -> tuple:
     return point_to_arc(x, piece)
 
 
+def _piece_foot(is_arc: bool, row: tuple, px: float, py: float) -> tuple:
+    """Distance from (px, py) to one piece, by the expressions of
+    _nearest_and_winding, and where the nearest point lies: -1 at or before
+    the piece's start, 1 at or past its end, 0 between.  An arc's distance
+    is radial up to 1e-9 rad past either end; there the point counts as
+    past that end."""
+    if is_arc:
+        sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
+        vx = px - cx
+        vy = py - cy
+        r = math.hypot(vx, vy)
+        if r > 1e-300:
+            phi = math.atan2(vy, vx)
+            off = (phi - a0) % TAU if ccw else (a0 - phi) % TAU
+            if off <= sweep:
+                return abs(r - radius), 0
+            if off <= sweep + 1e-9:
+                return abs(r - radius), 1
+            if off >= TAU - 1e-9:
+                return abs(r - radius), -1
+        d0 = math.hypot(px - sx, py - sy)
+        d1 = math.hypot(px - ex, py - ey)
+        if r <= 1e-300:
+            # at the centre every point of the arc is nearest
+            return (d0 if d0 <= d1 else d1), 0
+        return (d0, -1) if d0 <= d1 else (d1, 1)
+    sx, sy, ex, ey, dx, dy, dd = row
+    if dd == 0.0:
+        return math.hypot(px - sx, py - sy), -1
+    t = ((px - sx) * dx + (py - sy) * dy) / dd
+    at = 0
+    if t <= 0.0:
+        t, at = 0.0, -1
+    elif t >= 1.0:
+        t, at = 1.0, 1
+    return math.hypot(px - (sx + dx * t), py - (sy + dy * t)), at
+
+
+def _inner_side(is_arc: bool, row: tuple, px: float, py: float) -> bool:
+    """Whether (px, py) lies on the inner side of a piece: left of a
+    segment's line, inside a counterclockwise arc's circle, outside a
+    clockwise one's."""
+    if is_arc:
+        cx, cy, radius, ccw = row[4:8]
+        return (math.hypot(px - cx, py - cy) < radius) == ccw
+    sx, sy, ex, ey, dx, dy, dd = row
+    return dx * (py - sy) - dy * (px - sx) > 0.0
+
+
 def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
-    """Signed distance to the boundary: positive inside, negative outside."""
-    best, winding = _nearest_and_winding(p, x)
-    return best if winding > 0.5 else -best
+    """Signed distance to the boundary: positive inside, negative outside.
+
+    A depth-first search of the box tree, nearer child first, skips a node
+    only when its padded box lies farther from x than the best distance so
+    far by more than the rounding of x's coordinates.  So the magnitude is
+    the least per-piece distance of _nearest_and_winding, bit for bit.
+
+    The sign comes from the nearest piece: the open segment from x to a
+    nearest boundary point does not meet the boundary.  When that point is
+    interior to the piece, x is inside exactly on the piece's inner side.
+    When it is a junction, the region near it is the intersection of the
+    inner sides of its two pieces where the loop turns left, and their
+    union where it turns right.  So in exact arithmetic x is outside at a
+    left turn and inside at a right turn; the side tests of the two pieces
+    keep that answer when rounding picks the junction over an equally near
+    interior point.  At a tangent junction the piece's own side decides.
+    """
+    px, py = x.x, x.y
+    flat = _flat_pieces(p)
+    nodes = _piece_tree(p)[1]
+    slack = 1e-9 * (abs(px) + abs(py))
+    best = limit = limit2 = math.inf
+    nearest = where = 0
+    stack = [0]
+    gaps = [0.0]
+    while stack:
+        k = stack.pop()
+        if gaps.pop() > limit2:
+            continue
+        _, _, _, _, lo, hi = nodes[k]
+        if hi - lo == 1:
+            d, at = _piece_foot(*flat[lo], px, py)
+            if d < best:
+                best, nearest, where = d, lo, at
+                limit = best + slack
+                limit2 = limit * limit
+            continue
+        a = 2 * k + 1
+        x0, y0, x1, y1, _, _ = nodes[a]
+        dx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
+        dy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
+        ga = dx * dx + dy * dy
+        b = a + 1
+        x0, y0, x1, y1, _, _ = nodes[b]
+        dx = x0 - px if px < x0 else (px - x1 if px > x1 else 0.0)
+        dy = y0 - py if py < y0 else (py - y1 if py > y1 else 0.0)
+        gb = dx * dx + dy * dy
+        if gb < ga:
+            a, b, ga, gb = b, a, gb, ga
+        # the nearer child goes on top of the stack
+        if gb <= limit2:
+            stack.append(b)
+            gaps.append(gb)
+        if ga <= limit2:
+            stack.append(a)
+            gaps.append(ga)
+    inside = _inner_side(*flat[nearest], px, py)
+    if where:
+        turn = junction_turns(p)[nearest if where > 0 else nearest - 1]
+        if abs(turn) > ANG_TOL:
+            other = _inner_side(*flat[(nearest + where) % len(flat)], px, py)
+            inside = (inside and other) if turn > 0.0 else (inside or other)
+    return best if inside else -best
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +793,10 @@ def assert_simple(p: ArcPolygon, tol: Optional[float] = None) -> None:
         tol = 1e-9 * p.diameter
     pieces = p.pieces
     n = len(pieces)
-    boxes = [q.bbox() for q in pieces]
+    boxes, nodes = _piece_tree(p)
     for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
+        for j in _near_pieces(nodes, boxes[i], i + 2, tol):
+            if i == 0 and j == n - 1:
                 continue
             if _bbox_gap(boxes[i], boxes[j]) > tol:
                 continue
@@ -614,14 +810,20 @@ def assert_simple(p: ArcPolygon, tol: Optional[float] = None) -> None:
 # turning, convexity, reach
 
 
-def junction_turns(p: ArcPolygon) -> list:
-    """Signed tangent turn at every junction (piece i end to piece i+1 start)."""
-    turns = []
-    n = len(p.pieces)
-    for i in range(n):
-        t_in = p.pieces[i].tangent_at_end()
-        t_out = p.pieces[(i + 1) % n].tangent_at_start()
-        turns.append(math.atan2(t_in.cross(t_out), t_in.dot(t_out)))
+def junction_turns(p: ArcPolygon) -> tuple:
+    """Signed tangent turn at every junction (piece i end to piece i+1 start).
+
+    Computed once per loop and filled like _flat_pieces.
+    """
+    turns = p._turns
+    if turns is None:
+        n = len(p.pieces)
+        rows = []
+        for i in range(n):
+            t_in = p.pieces[i].tangent_at_end()
+            t_out = p.pieces[(i + 1) % n].tangent_at_start()
+            rows.append(math.atan2(t_in.cross(t_out), t_in.dot(t_out)))
+        turns = p._turns = tuple(rows)
     return turns
 
 
@@ -649,9 +851,11 @@ def reach_lower_bound(p: ArcPolygon) -> float:
     best = min(concave_radii)
     pieces = p.pieces
     n = len(pieces)
-    boxes = [q.bbox() for q in pieces]
+    boxes, nodes = _piece_tree(p)
     for i in range(n):
-        for j in range(i + 2, n):
+        # best only falls, so the pieces near i at 2 * best now include
+        # every j the exact box test below lets through
+        for j in _near_pieces(nodes, boxes[i], i + 2, 2.0 * best):
             if i == 0 and j == n - 1:
                 continue
             if _bbox_gap(boxes[i], boxes[j]) >= 2.0 * best:

@@ -389,3 +389,142 @@ def test_distance_query_builds_no_vec2(monkeypatch):
     monkeypatch.setattr(Vec2, "__post_init__", counting)
     geom.distance_to_boundary(boundary, x)
     assert len(made) == 0
+
+
+# ---------------------------------------------------------------------------
+# the box-tree search behind distance_to_boundary and the pair scans, against
+# the winding reference and an all-pairs loop
+
+ELL = geom.polygon_from_points([Vec2(0, 0), Vec2(2, 0), Vec2(2, 1), Vec2(1, 1),
+                                Vec2(1, 2), Vec2(0, 2)])
+
+
+@functools.lru_cache(maxsize=1)
+def _indexed_shapes():
+    gon = geom.polygon_from_points([geom.unit_from_angle(geom.TAU * k / 256)
+                                    for k in range(256)])
+    serpentine = verify.strip_families()["serpentine_k09"](20.0).boundary
+    return tuple(shape for shape, _ in _kernel_shapes()) + (ELL, gon, serpentine)
+
+
+def _winding_signed_distance(poly, x):
+    best, winding = geom._nearest_and_winding(poly, x)
+    return best if winding > 0.5 else -best
+
+
+def _matches_winding(poly, x):
+    """distance_to_boundary at x; its magnitude must equal the winding
+    reference bit for bit, and its sign too wherever that is clear of
+    rounding."""
+    sd = geom.distance_to_boundary(poly, x)
+    ref = _winding_signed_distance(poly, x)
+    assert abs(sd) == abs(ref)
+    if abs(ref) > NEAR:
+        assert sd == ref
+    return sd
+
+
+@given(st.integers(0, 5), fractions, fractions, shifts, shifts)
+@settings(max_examples=200, deadline=None)
+def test_indexed_distance_matches_winding_reference(which, u, v, dx, dy):
+    shape = _indexed_shapes()[which]
+    x0, y0, x1, y1 = shape.bounding_box
+    shift = Vec2(dx, dy)
+    x = Vec2(x0 - 0.5 + u * (x1 - x0 + 1.0),
+             y0 - 0.5 + v * (y1 - y0 + 1.0)) + shift
+    _matches_winding(shape.translated(shift), x)
+
+
+STEPS = (1e-6, 1e-3, 0.25)
+SQUARE = geom.polygon_from_points([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
+
+
+def _junction_cases():
+    """(shape, point, expected signed distance) with the nearest boundary
+    point at a junction: left turns, a right turn, tangent junctions."""
+    h = math.sqrt(2.0)
+    for t in STEPS:
+        # outside the square's corners, along the diagonals
+        for corner, away in ((Vec2(0, 0), Vec2(-1, -1)), (Vec2(1, 0), Vec2(1, -1)),
+                             (Vec2(1, 1), Vec2(1, 1)), (Vec2(0, 1), Vec2(-1, 1))):
+            yield SQUARE, corner + away * t, -h * t
+        # inside the L shape's reflex corner (1, 1)
+        yield ELL, Vec2(1.0 - t, 1.0 - t), h * t
+        # on the normal lines through the stadium's segment-arc junctions
+        for x, y, inward in ((0.0, -1.0, 1.0), (2.0, -1.0, 1.0),
+                             (2.0, 1.0, -1.0), (0.0, 1.0, -1.0)):
+            yield verify.stadium(2, 1), Vec2(x, y + inward * t), t
+            yield verify.stadium(2, 1), Vec2(x, y - inward * t), -t
+
+
+@pytest.mark.parametrize("shift", [Vec2(0.0, 0.0), Vec2(1e6, -1e6),
+                                   Vec2(-1e6, 1e6)])
+def test_indexed_distance_signs_at_junctions(shift):
+    for shape, x, expected in _junction_cases():
+        sd = _matches_winding(shape.translated(shift), x + shift)
+        assert sd == pytest.approx(expected, abs=1e-9)
+
+
+def test_tree_boxes_are_piece_boxes():
+    # the exact box test of the pair scans reads these boxes
+    for shape in _indexed_shapes() + (verify.stadium(2, 1),):
+        boxes, _ = geom._piece_tree(shape)
+        assert boxes == tuple(q.bbox() for q in shape.pieces)
+
+
+def _all_pairs_reach_bound(p):
+    """reach_lower_bound's pair test over every non-adjacent pair, signed by
+    the winding reference; for loops without right-turn junctions."""
+    assert min(geom.junction_turns(p)) >= -geom.ANG_TOL
+    pieces = p.pieces
+    n = len(pieces)
+    best = min(q.radius for q in pieces if isinstance(q, Arc) and not q.ccw)
+    boxes = [q.bbox() for q in pieces]
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            if geom._bbox_gap(boxes[i], boxes[j]) >= 2.0 * best:
+                continue
+            d, pa, pb = geom.piece_distance(pieces[i], pieces[j])
+            if d >= 2.0 * best or d == 0.0:
+                continue
+            sd = _winding_signed_distance(p, (pa + pb) * 0.5)
+            if sd < 0.0 and -sd >= 0.5 * d * (1.0 - 1e-6):
+                best = min(best, 0.5 * d)
+    return best
+
+
+def test_reach_bound_set_by_piece_pair_across_many_pieces(monkeypatch):
+    # a C of 40 arc pieces turning 5.8 rad in all: the bottleneck between
+    # its end caps lies far below the concave radius 1/0.2 - 1 = 4
+    from cheeger import spine
+    many = spine.build_strip(spine.Spine(tuple(
+        spine.SpinePiece(29.0 / 40.0, 0.2) for _ in range(40))), 1.0).boundary
+    one = spine.build_strip(spine.circular_spine(0.2, 29.0), 1.0).boundary
+    assert (len(many.pieces), len(one.pieces)) == (82, 4)
+    single_arc_bound = geom.reach_lower_bound(one)
+    index = {id(q): i for i, q in enumerate(many.pieces)}
+    tested = []
+    piece_distance = geom.piece_distance
+
+    def recording(a, b):
+        tested.append((index[id(a)], index[id(b)]))
+        return piece_distance(a, b)
+
+    monkeypatch.setattr(geom, "piece_distance", recording)
+    bound = geom.reach_lower_bound(many)
+    pruned, tested[:] = tested[:], []
+    assert bound == _all_pairs_reach_bound(many)
+    # the tree lets through exactly the pairs the all-pairs loop tests
+    assert pruned == tested
+    assert bound < 1.0
+    assert bound == pytest.approx(single_arc_bound, rel=1e-12)
+
+
+def test_simple_check_finds_crossing_far_apart_in_loop_order():
+    # vertex 150 of a 300-gon pulled out through the opposite side
+    points = [geom.unit_from_angle(geom.TAU * k / 300) for k in range(300)]
+    points[150] = Vec2(1.5, 0.01)
+    with pytest.raises(SelfIntersecting, match="pieces 0 and 149 "):
+        geom.assert_simple(geom.polygon_from_points(points))
