@@ -376,6 +376,8 @@ def _load_spec(path: str) -> dict:
         raise SpecError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SpecError(f"{path}: cannot parse as JSON: {exc}") from exc
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -9,11 +9,11 @@ area growth, which is exactly quadratic for positive-reach regions.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from . import geom
 from .convex import ConvexRegion, convex_from_points, solve_convex
@@ -31,12 +31,11 @@ _JITTER = 0.5 * (math.sqrt(5.0) - 2.0)
 @dataclass(frozen=True)
 class GridMask:
     cell: float
-    origin: Vec2
-    bits: np.ndarray  # bool, indexed [ix, iy]
+    bits: Sequence[bytes]  # one row of 0/1 per sample line, read bits[iy][ix]
 
     @property
     def count(self) -> int:
-        return int(self.bits.sum())
+        return sum(row.count(1) for row in self.bits)
 
 
 def _monotone_subarcs(arc: Arc) -> List[Arc]:
@@ -87,18 +86,18 @@ def rasterize(p: ArcPolygon, cell: float) -> GridMask:
         else:
             for sub in _monotone_subarcs(piece):
                 flat.append((sub, sub.point_at(0.5).x))
-    bits = np.zeros((nx, ny), dtype=bool)
+    rows = [bytearray(nx) for _ in range(ny)]
     for j in range(ny):
         y = oy + (j + 0.5) * cell
         xs = _row_crossings(flat, y)
         if len(xs) % 2 == 1:
             xs = xs[:-1]
         for k in range(0, len(xs), 2):
-            lo = int(math.ceil((xs[k] - ox) / cell - 0.5))
-            hi = int(math.floor((xs[k + 1] - ox) / cell - 0.5))
-            if hi >= lo:
-                bits[max(lo, 0):min(hi + 1, nx), j] = True
-    return GridMask(cell=cell, origin=Vec2(ox, oy), bits=bits)
+            lo = max(int(math.ceil((xs[k] - ox) / cell - 0.5)), 0)
+            hi = min(int(math.floor((xs[k + 1] - ox) / cell - 0.5)) + 1, nx)
+            if hi > lo:
+                rows[j][lo:hi] = b"\1" * (hi - lo)
+    return GridMask(cell=cell, bits=[bytes(row) for row in rows])
 
 
 def grid_area(m: GridMask) -> float:
@@ -107,26 +106,28 @@ def grid_area(m: GridMask) -> float:
     return m.count * m.cell * m.cell
 
 
-def _boundary_loops(bits: np.ndarray) -> List[List[Tuple[int, int]]]:
-    """Closed corner-lattice loops around the set cells, region on the left."""
-    nx, ny = bits.shape
-    padded = np.zeros((nx + 2, ny + 2), dtype=bool)
-    padded[1:-1, 1:-1] = bits
+def _boundary_loops(bits: Sequence[bytes]) -> List[List[Tuple[int, int]]]:
+    """Closed corner-lattice loops around the set cells, region on the left;
+    cells add their bottom, right, top and left edges column by column, the
+    order that fixes which way each saddle corner turns."""
+    blank = bytes(len(bits[0]) + 2)
+    padded = [blank] + [b"\0" + row + b"\0" for row in bits] + [blank]
+    cols = list(zip(*padded))  # cols[i][j]: cell (i - 1, j - 1)
     edges: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
 
     def add(a: Tuple[int, int], b: Tuple[int, int]) -> None:
         edges.setdefault(a, []).append(b)
 
-    set_cells = np.argwhere(padded)
-    for i, j in set_cells:
-        if not padded[i, j - 1]:
-            add((i, j), (i + 1, j))
-        if not padded[i + 1, j]:
-            add((i + 1, j), (i + 1, j + 1))
-        if not padded[i, j + 1]:
-            add((i + 1, j + 1), (i, j + 1))
-        if not padded[i - 1, j]:
-            add((i, j + 1), (i, j))
+    for i, (left, col, right) in enumerate(zip(cols, cols[1:], cols[2:]), 1):
+        for j in compress(range(len(col)), col):
+            if not col[j - 1]:
+                add((i, j), (i + 1, j))
+            if not right[j]:
+                add((i + 1, j), (i + 1, j + 1))
+            if not col[j + 1]:
+                add((i + 1, j + 1), (i, j + 1))
+            if not left[j]:
+                add((i, j + 1), (i, j))
     loops: List[List[Tuple[int, int]]] = []
     while edges:
         start = next(iter(edges))
@@ -326,13 +327,14 @@ def ladder_solutions() -> Dict[Tuple[str, float], Tuple[Strip, CheegerSolution]]
 
 
 def _steiner_random_convex() -> List[ConvexRegion]:
-    """50 hulls of seeded normal point clouds (numpy seed 7)."""
-    rng = np.random.default_rng(7)
+    """50 hulls of seeded normal point clouds."""
+    rng = random.Random(7)
     regions: List[ConvexRegion] = []
     while len(regions) < 50:
-        n = int(rng.integers(3, 9))
-        pts = rng.normal(size=(n + 5, 2)) * rng.uniform(0.5, 3.0)
-        hull = _convex_hull([Vec2(float(x), float(y)) for x, y in pts])
+        n = rng.randint(3, 8)
+        scale = rng.uniform(0.5, 3.0)
+        hull = _convex_hull([Vec2(rng.gauss(0.0, scale), rng.gauss(0.0, scale))
+                             for _ in range(n + 5)])
         if len(hull) < 3:
             continue
         regions.append(convex_from_points(hull))

@@ -124,12 +124,22 @@ def test_bowtie_arcs_check_matches_gallery_suite():
     assert out.checks == [suite["bowtie_four_congruent_arcs"]]
 
 
-def test_malformed_json_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve", "render"])
+@pytest.mark.parametrize("payload, expected", [
+    (b"{not json", "line"),
+    (b"\xff\xfe{}", "can't decode byte 0xff"),
+    (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+    (b'{"type": "two_ears", "theta": ' + b"1" * 5000 + b"}", "digits"),
+], ids=["malformed", "undecodable", "deeply_nested", "huge_integer"])
+def test_malformed_json_exit_1(tmp_path, capsys, command, payload, expected):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run_main(capsys, ["solve", str(path)])
+    path.write_bytes(payload)
+    argv = {"solve": ["solve", str(path)],
+            "render": ["render", str(path), str(tmp_path / "fig.svg")]}
+    code, _, err = run_main(capsys, argv[command])
     assert code == 1
-    assert "line" in err
+    assert err.startswith("error: ")
+    assert expected in err
 
 
 def test_schema_errors_exit_1(tmp_path, capsys):

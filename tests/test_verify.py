@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cheeger import convex, geom, spine, verify
 from cheeger.errors import DomainError, EmptyRegion, ReachViolation
@@ -38,17 +41,17 @@ def test_sliver_produces_empty_mask():
 
 
 def test_single_cell_mask():
-    mask = verify.GridMask(cell=0.1, origin=Vec2(0, 0),
-                           bits=np.ones((1, 1), dtype=bool))
+    mask = verify.GridMask(cell=0.1, bits=[b"\1"])
     assert verify.grid_area(mask) == pytest.approx(0.01, rel=1e-12)
     assert verify.grid_perimeter(mask) == pytest.approx(0.4, rel=1e-12)
 
 
 def test_two_component_mask_perimeter():
-    bits = np.zeros((9, 4), dtype=bool)
-    bits[0:2, 0:2] = True   # 2x2 block: perimeter 8 cells
-    bits[5:9, 0:3] = True   # 4x3 block: perimeter 14 cells
-    mask = verify.GridMask(cell=1.0, origin=Vec2(0, 0), bits=bits)
+    # a 2x2 block (perimeter 8 cells) at ix 0-1 and a 4x3 block (perimeter
+    # 14 cells) at ix 5-8, rows iy = 0..3
+    bits = [bytes([1, 1, 0, 0, 0, 1, 1, 1, 1])] * 2 + [
+        bytes([0, 0, 0, 0, 0, 1, 1, 1, 1]), bytes(9)]
+    mask = verify.GridMask(cell=1.0, bits=bits)
     assert verify.grid_perimeter(mask) == pytest.approx(22.0, rel=1e-9)
     assert verify.grid_area(mask) == pytest.approx(16.0)
 
@@ -58,13 +61,57 @@ def test_two_component_mask_perimeter():
 # without its centre and two opposite corners gives an outer loop of 12 and
 # the hole's loop of 4
 @pytest.mark.parametrize("bits, loops, perimeter", [
-    (np.eye(2, dtype=bool), [8], 0.8),
-    (~np.eye(3, dtype=bool), [4, 12], 1.6),
+    ([bytes([1, 0]), bytes([0, 1])], [8], 0.8),
+    ([bytes([0, 1, 1]), bytes([1, 0, 1]), bytes([1, 1, 0])], [4, 12], 1.6),
 ], ids=["diagonal", "ring"])
 def test_saddle_corner_masks(bits, loops, perimeter):
     assert sorted(len(loop) for loop in verify._boundary_loops(bits)) == loops
-    mask = verify.GridMask(cell=0.1, origin=Vec2(0, 0), bits=bits)
+    mask = verify.GridMask(cell=0.1, bits=bits)
     assert verify.grid_perimeter(mask) == pytest.approx(perimeter, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda nx: st.lists(
+    st.binary(min_size=nx, max_size=nx).map(
+        lambda row: bytes(b & 1 for b in row)),
+    min_size=1, max_size=10)))
+def test_boundary_loops_trace_every_boundary_side(bits):
+    """Whatever way the saddle rule turns, each loop closes in unit lattice
+    steps, the loops' shoelace areas add up to the set cells, and there is
+    one step per set-cell side that faces an unset cell or the border."""
+    def cell(ix, iy):
+        return 0 <= iy < len(bits) and 0 <= ix < len(bits[0]) \
+            and bits[iy][ix] == 1
+
+    loops = verify._boundary_loops(bits)
+    steps, area2 = 0, 0
+    for loop in loops:
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            assert abs(b[0] - a[0]) + abs(b[1] - a[1]) == 1
+            area2 += a[0] * b[1] - a[1] * b[0]
+        steps += len(loop)
+    count = verify.GridMask(cell=1.0, bits=bits).count
+    assert area2 == 2 * count
+    assert steps == sum(not cell(ix + dx, iy + dy)
+                        for iy in range(len(bits)) for ix in range(len(bits[0]))
+                        if cell(ix, iy)
+                        for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0)))
+
+
+def test_nothing_needs_numpy():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import cheeger.cli\n"
+        "from cheeger import geom, verify\n"
+        "assert all(c.passed for c in verify.run_suite('steiner'))\n"
+        "disk = geom.disk(geom.Vec2(0.0, 0.0), 1.0)\n"
+        "mask = verify.rasterize(disk, 0.02)\n"
+        "print(verify.grid_perimeter(mask))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(2.0 * math.pi, rel=0.02)
 
 
 def test_minkowski_content_matches_perimeter(unit_square, unit_disk):
