@@ -3,11 +3,16 @@
 Areas and perimeters are closed-form (Green's theorem with circular-segment
 terms), offsets by a disk stay inside the same representation, and distance
 queries and piece-pair scans search a tree of bounding boxes over runs of
-consecutive pieces, built once per loop.  Everything is immutable and pure.
+consecutive pieces, built once per loop.  Point and piece-pair distances
+compute on plain floats read from the pieces (_piece_row) and build a Vec2
+only for a point they return.  Everything is immutable and pure; an arc
+computes its start angle once, on first read.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -21,6 +26,7 @@ REL_TOL = 1e-12
 ANG_TOL = 1e-9
 # Directions of the axis-extreme points of a circle.
 _QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+_by_distance = operator.itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,13 @@ class Vec2:
 
 def unit_from_angle(phi: float) -> Vec2:
     return Vec2(math.cos(phi), math.sin(phi))
+
+
+def _on_arc(phi: float, a0: float, ccw: bool, sweep: float) -> bool:
+    """Whether direction phi lies on the arc that starts at direction a0 and
+    sweeps `sweep` in its sense, up to 1e-9 rad past either end."""
+    off = (phi - a0) % TAU if ccw else (a0 - phi) % TAU
+    return off <= sweep + 1e-9 or off >= TAU - 1e-9
 
 
 @dataclass(frozen=True)
@@ -164,13 +177,11 @@ class Arc:
     def signed_sweep(self) -> float:
         return self.sweep if self.ccw else -self.sweep
 
-    @property
+    @functools.cached_property
     def start_angle(self) -> float:
-        return (self.start - self.center).angle()
-
-    @property
-    def end_angle(self) -> float:
-        return (self.end - self.center).angle()
+        """Direction of the start from the centre, computed on first read."""
+        return math.atan2(self.start.y - self.center.y,
+                          self.start.x - self.center.x)
 
     @staticmethod
     def from_angles(center: Vec2, radius: float, start_angle: float,
@@ -203,8 +214,7 @@ class Arc:
         return (self.start_angle - phi) % TAU
 
     def contains_angle(self, phi: float) -> bool:
-        off = self.angle_offset(phi)
-        return off <= self.sweep + 1e-9 or off >= TAU - 1e-9
+        return _on_arc(phi, self.start_angle, self.ccw, self.sweep)
 
     def reversed(self) -> "Arc":
         return Arc(self.end, self.start, self.center, self.radius,
@@ -356,27 +366,25 @@ def _signed_area(pieces: Sequence[BoundaryPiece]) -> float:
 # point queries
 
 
-def _flat_pieces(p: ArcPolygon) -> tuple:
-    """The loop's pieces as plain floats, built on the first point query.
+def _piece_row(q: BoundaryPiece) -> tuple:
+    """One piece as plain floats: (is_arc, values).  Segment values are
+    start, end, end - start and |end - start|^2; arc values are start, end,
+    center, radius, ccw, start angle and sweep."""
+    sx, sy, ex, ey = q.start.x, q.start.y, q.end.x, q.end.y
+    if isinstance(q, Segment):
+        dx, dy = ex - sx, ey - sy
+        return False, (sx, sy, ex, ey, dx, dy, dx * dx + dy * dy)
+    return True, (sx, sy, ex, ey, q.center.x, q.center.y, q.radius, q.ccw,
+                  q.start_angle, q.sweep)
 
-    Each row is (is_arc, values).  Segment values are start, end,
-    end - start and |end - start|^2; arc values are start, end, center,
-    radius, ccw, start angle and sweep.  Two threads filling it at once
-    build equal tables, so the polygon stays safe to share.
-    """
+
+def _flat_pieces(p: ArcPolygon) -> tuple:
+    """The loop's _piece_row rows, built on the first point query.  Two
+    threads filling it at once build equal tables, so the polygon stays
+    safe to share."""
     flat = p._flat
     if flat is None:
-        rows = []
-        for q in p.pieces:
-            sx, sy, ex, ey = q.start.x, q.start.y, q.end.x, q.end.y
-            if isinstance(q, Segment):
-                dx, dy = ex - sx, ey - sy
-                rows.append((False, (sx, sy, ex, ey, dx, dy, dx * dx + dy * dy)))
-            else:
-                cx, cy = q.center.x, q.center.y
-                rows.append((True, (sx, sy, ex, ey, cx, cy, q.radius, q.ccw,
-                                    math.atan2(sy - cy, sx - cx), q.sweep)))
-        flat = p._flat = tuple(rows)
+        flat = p._flat = tuple(map(_piece_row, p.pieces))
     return flat
 
 
@@ -391,11 +399,12 @@ def _piece_tree(p: ArcPolygon) -> tuple:
 
     Node boxes are padded by 1e-9 of the loop's coordinates plus diameter,
     which covers the rounding of a computed piece distance, and each arc by
-    2e-9 of its radius on top: the per-piece distance of
-    _nearest_and_winding projects onto the arc extended by 1e-9 rad at both
-    ends.  A piece whose computed distance to x is d therefore lies in node
-    boxes within d of x, up to the rounding of x's own coordinates.  Filled
-    like _flat_pieces, by one assignment of a finished tuple.
+    2e-9 of its radius on top: the distance to an arc is radial, |x - c| -
+    radius, wherever the direction of x from the centre lies on the arc or
+    within 1e-9 rad past either end (_on_arc).  A piece whose computed
+    distance to x is d therefore lies in node boxes within d of x, up to the
+    rounding of x's own coordinates.  Filled like _flat_pieces, by one
+    assignment of a finished tuple.
     """
     tree = p._tree
     if tree is None:
@@ -403,12 +412,11 @@ def _piece_tree(p: ArcPolygon) -> tuple:
         boxes, pads = [], []
         for is_arc, row in _flat_pieces(p):
             if is_arc:
-                # the expressions of Arc.bbox and Arc.contains_angle
+                # the expressions of Arc.bbox
                 sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
                 xs, ys = [sx, ex], [sy, ey]
                 for phi in _QUARTER_TURNS:
-                    off = (phi - a0) % TAU if ccw else (a0 - phi) % TAU
-                    if off <= sweep + 1e-9 or off >= TAU - 1e-9:
+                    if _on_arc(phi, a0, ccw, sweep):
                         xs.append(cx + math.cos(phi) * radius)
                         ys.append(cy + math.sin(phi) * radius)
                 boxes.append((min(xs), min(ys), max(xs), max(ys)))
@@ -462,94 +470,14 @@ def _near_pieces(nodes: tuple, box: tuple, first: int, reach: float) -> list:
     return found
 
 
-def _nearest_and_winding(p: ArcPolygon, x: Vec2) -> tuple:
-    """Distance from x to the boundary and the winding number around x.
-
-    One pass over plain floats that evaluates the expressions of
-    point_to_segment, point_to_arc and the per-piece winding angle (chord
-    angle, in the arc's own sense when x is inside its circle) in their order,
-    so the distance equals the least point_to_piece distance bit for bit
-    and the winding angles add up in piece order.
-    """
-    px, py = x.x, x.y
-    hypot, atan2, tau = math.hypot, math.atan2, TAU
-    wrap = tau - 1e-9
-    best = math.inf
-    total = 0.0
-    for is_arc, row in _flat_pieces(p):
-        if is_arc:
-            sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
-            vx = px - cx
-            vy = py - cy
-            r = hypot(vx, vy)
-            d = -1.0
-            if r > 1e-300:
-                phi = atan2(vy, vx)
-                off = (phi - a0) % tau if ccw else (a0 - phi) % tau
-                if off <= sweep + 1e-9 or off >= wrap:
-                    d = abs(r - radius)
-            if d < 0.0:
-                d0 = hypot(px - sx, py - sy)
-                d1 = hypot(px - ex, py - ey)
-                d = d0 if d0 <= d1 else d1
-        else:
-            sx, sy, ex, ey, dx, dy, dd = row
-            if dd == 0.0:
-                d = hypot(px - sx, py - sy)
-            else:
-                t = ((px - sx) * dx + (py - sy) * dy) / dd
-                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-                d = hypot(px - (sx + dx * t), py - (sy + dy * t))
-        if d < best:
-            best = d
-        ax = sx - px
-        ay = sy - py
-        bx = ex - px
-        by = ey - py
-        w = atan2(ax * by - ay * bx, ax * bx + ay * by)
-        if is_arc and r < radius:
-            # seen from inside its circle an arc turns only its own way
-            w = w % tau if ccw else -(-w % tau)
-        total += w
-    return best, total / tau
-
-
-def point_to_segment(x: Vec2, s: Segment) -> tuple:
-    d = s.end - s.start
-    dd = d.dot(d)
-    if dd == 0.0:
-        return x.distance(s.start), s.start
-    t = (x - s.start).dot(d) / dd
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    foot = s.point_at(t)
-    return x.distance(foot), foot
-
-
-def point_to_arc(x: Vec2, a: Arc) -> tuple:
-    v = x - a.center
-    r = v.norm()
-    if r > 1e-300:
-        phi = v.angle()
-        if a.contains_angle(phi):
-            q = a.center + a.radius * (v * (1.0 / r))
-            return abs(r - a.radius), q
-    d0 = x.distance(a.start)
-    d1 = x.distance(a.end)
-    return (d0, a.start) if d0 <= d1 else (d1, a.end)
-
-
-def point_to_piece(x: Vec2, piece: BoundaryPiece) -> tuple:
-    if isinstance(piece, Segment):
-        return point_to_segment(x, piece)
-    return point_to_arc(x, piece)
-
-
 def _piece_foot(is_arc: bool, row: tuple, px: float, py: float) -> tuple:
-    """Distance from (px, py) to one piece, by the expressions of
-    _nearest_and_winding, and where the nearest point lies: -1 at or before
-    the piece's start, 1 at or past its end, 0 between.  An arc's distance
-    is radial up to 1e-9 rad past either end; there the point counts as
-    past that end."""
+    """Distance from (px, py) to one _piece_row, and where the nearest point
+    lies: -1 at or before the piece's start, 1 at or past its end, 0
+    between.  A segment's distance is to the foot of the clamped projection
+    t = ((x - s) . d) / |d|^2; an arc's is radial, |x - c| - radius, up to
+    1e-9 rad past either end (there the point counts as past that end), and
+    otherwise to the nearer end, the start on a tie: the expressions of
+    _segment_foot and _arc_foot, in their order."""
     if is_arc:
         sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
         vx = px - cx
@@ -599,7 +527,7 @@ def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
     A depth-first search of the box tree, nearer child first, skips a node
     only when its padded box lies farther from x than the best distance so
     far by more than the rounding of x's coordinates.  So the magnitude is
-    the least per-piece distance of _nearest_and_winding, bit for bit.
+    the least _piece_foot distance over all pieces, bit for bit.
 
     The sign comes from the nearest piece: the open segment from x to a
     nearest boundary point does not meet the boundary.  When that point is
@@ -663,19 +591,6 @@ def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
 # piece/piece distances and intersections
 
 
-def _segment_intersection(a: Segment, b: Segment) -> Optional[Vec2]:
-    p, r = a.start, a.end - a.start
-    q, s = b.start, b.end - b.start
-    denom = r.cross(s)
-    if denom == 0.0:
-        return None
-    t = (q - p).cross(s) / denom
-    u = (q - p).cross(r) / denom
-    if -1e-12 <= t <= 1.0 + 1e-12 and -1e-12 <= u <= 1.0 + 1e-12:
-        return p + r * t
-    return None
-
-
 def _line_circle(p0: Vec2, d: Vec2, center: Vec2, radius: float) -> list:
     """Parameters t with |p0 + t*d - center| = radius (d need not be unit)."""
     f = p0 - center
@@ -707,78 +622,197 @@ def _circle_circle(c1: Vec2, r1: float, c2: Vec2, r2: float) -> list:
     return [mid + off, mid - off]
 
 
-def piece_distance(a: BoundaryPiece, b: BoundaryPiece) -> tuple:
-    """Minimal distance between two pieces with the realizing points."""
-    if isinstance(a, Segment) and isinstance(b, Segment):
-        x = _segment_intersection(a, b)
-        if x is not None:
-            return 0.0, x, x
-        cands = []
-        for pt in (a.start, a.end):
-            d, q = point_to_segment(pt, b)
-            cands.append((d, pt, q))
-        for pt in (b.start, b.end):
-            d, q = point_to_segment(pt, a)
-            cands.append((d, q, pt))
-        return min(cands, key=lambda c: c[0])
-    if isinstance(a, Segment):
-        d, pb, pa = piece_distance(b, a)
-        return d, pa, pb
-    if isinstance(b, Segment):
-        seg, arc = b, a
-        dvec = seg.end - seg.start
-        for t in _line_circle(seg.start, dvec, arc.center, arc.radius):
-            if -1e-12 <= t <= 1.0 + 1e-12:
-                pt = seg.point_at(min(max(t, 0.0), 1.0))
-                if arc.contains_angle((pt - arc.center).angle()):
-                    return 0.0, pt, pt
-        cands = []
-        for pt in (seg.start, seg.end):
-            d, q = point_to_arc(pt, arc)
-            cands.append((d, q, pt))
-        for pt in (arc.start, arc.end):
-            d, q = point_to_segment(pt, seg)
-            cands.append((d, pt, q))
-        t = (arc.center - seg.start).dot(dvec) / dvec.dot(dvec)
-        if 0.0 < t < 1.0:
-            foot = seg.point_at(t)
-            v = foot - arc.center
-            if v.norm() > 1e-300:
-                q = arc.center + arc.radius * v.unit()
-                if arc.contains_angle((q - arc.center).angle()):
-                    cands.append((q.distance(foot), q, foot))
-        best = min(cands, key=lambda c: c[0])
-        return best[0], best[1], best[2]
-    # arc/arc
-    for x in _circle_circle(a.center, a.radius, b.center, b.radius):
-        if a.contains_angle((x - a.center).angle()) and \
-           b.contains_angle((x - b.center).angle()):
+def _segment_foot(px: float, py: float, row: tuple) -> tuple:
+    """(d, x, y): the distance from (px, py) to a segment row and the
+    nearest point, the foot of the clamped projection."""
+    sx, sy, _, _, dx, dy, dd = row
+    if dd == 0.0:
+        return math.hypot(px - sx, py - sy), sx, sy
+    t = ((px - sx) * dx + (py - sy) * dy) / dd
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    fx = sx + dx * t
+    fy = sy + dy * t
+    return math.hypot(px - fx, py - fy), fx, fy
+
+
+def _arc_foot(px: float, py: float, row: tuple) -> tuple:
+    """(d, x, y): the distance from (px, py) to an arc row and the nearest
+    point, radial where _on_arc holds for the direction from the centre,
+    else the nearer end, the start on a tie."""
+    sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
+    vx = px - cx
+    vy = py - cy
+    r = math.hypot(vx, vy)
+    if r > 1e-300 and _on_arc(math.atan2(vy, vx), a0, ccw, sweep):
+        k = 1.0 / r
+        return abs(r - radius), cx + vx * k * radius, cy + vy * k * radius
+    d0 = math.hypot(px - sx, py - sy)
+    d1 = math.hypot(px - ex, py - ey)
+    return (d0, sx, sy) if d0 <= d1 else (d1, ex, ey)
+
+
+def _nearest(cands: list) -> tuple:
+    """The first candidate (d, ax, ay, bx, by) of least d, with its points."""
+    d, ax, ay, bx, by = min(cands, key=_by_distance)
+    return d, Vec2(ax, ay), Vec2(bx, by)
+
+
+def _segment_segment(ra: tuple, rb: tuple) -> tuple:
+    """(d, point on segment a, point on segment b)."""
+    ax, ay, ex, ey, rx, ry, _ = ra
+    bx, by, fx, fy, sx, sy, _ = rb
+    denom = rx * sy - ry * sx
+    if denom != 0.0:
+        wx = bx - ax
+        wy = by - ay
+        t = (wx * sy - wy * sx) / denom
+        u = (wx * ry - wy * rx) / denom
+        if -1e-12 <= t <= 1.0 + 1e-12 and -1e-12 <= u <= 1.0 + 1e-12:
+            x = Vec2(ax + rx * t, ay + ry * t)
             return 0.0, x, x
     cands = []
-    for pt in (a.start, a.end):
-        d, q = point_to_arc(pt, b)
-        cands.append((d, pt, q))
-    for pt in (b.start, b.end):
-        d, q = point_to_arc(pt, a)
-        cands.append((d, q, pt))
-    sep = b.center - a.center
-    dist = sep.norm()
-    if dist > 1e-12 * (a.radius + b.radius):
-        u = sep * (1.0 / dist)
-        for pa in (a.center + u * a.radius, a.center - u * a.radius):
-            if not a.contains_angle((pa - a.center).angle()):
+    for px, py in ((ax, ay), (ex, ey)):
+        d, qx, qy = _segment_foot(px, py, rb)
+        cands.append((d, px, py, qx, qy))
+    for px, py in ((bx, by), (fx, fy)):
+        d, qx, qy = _segment_foot(px, py, ra)
+        cands.append((d, qx, qy, px, py))
+    return _nearest(cands)
+
+
+def _arc_segment(ra: tuple, rb: tuple) -> tuple:
+    """(d, point on the arc, point on the segment)."""
+    asx, asy, aex, aey, cx, cy, radius, ccw, a0, sweep = ra
+    sx, sy, ex, ey, dx, dy, dd = rb
+    # _line_circle(segment start, segment vector, centre, radius)
+    fx = sx - cx
+    fy = sy - cy
+    bb = 2.0 * (fx * dx + fy * dy)
+    cc = fx * fx + fy * fy - radius * radius
+    disc = bb * bb - 4.0 * dd * cc
+    if disc >= 0.0:
+        root = math.sqrt(disc)
+        for t in ((-bb - root) / (2.0 * dd), (-bb + root) / (2.0 * dd)):
+            if -1e-12 <= t <= 1.0 + 1e-12:
+                t = min(max(t, 0.0), 1.0)
+                x = sx + dx * t
+                y = sy + dy * t
+                if _on_arc(math.atan2(y - cy, x - cx), a0, ccw, sweep):
+                    pt = Vec2(x, y)
+                    return 0.0, pt, pt
+    cands = []
+    for px, py in ((sx, sy), (ex, ey)):
+        d, qx, qy = _arc_foot(px, py, ra)
+        cands.append((d, qx, qy, px, py))
+    for px, py in ((asx, asy), (aex, aey)):
+        d, qx, qy = _segment_foot(px, py, rb)
+        cands.append((d, px, py, qx, qy))
+    # the foot of the centre on the segment, projected radially onto the arc
+    t = ((cx - sx) * dx + (cy - sy) * dy) / dd
+    if 0.0 < t < 1.0:
+        fx = sx + dx * t
+        fy = sy + dy * t
+        vx = fx - cx
+        vy = fy - cy
+        n = math.hypot(vx, vy)
+        if n > 1e-300:
+            qx = cx + vx / n * radius
+            qy = cy + vy / n * radius
+            if _on_arc(math.atan2(qy - cy, qx - cx), a0, ccw, sweep):
+                cands.append((math.hypot(qx - fx, qy - fy), qx, qy, fx, fy))
+    return _nearest(cands)
+
+
+def _arc_arc(ra: tuple, rb: tuple) -> tuple:
+    """(d, point on arc a, point on arc b)."""
+    asx, asy, aex, aey, acx, acy, ar, accw, a0, asw = ra
+    bsx, bsy, bex, bey, bcx, bcy, br, bccw, b0, bsw = rb
+    atan2 = math.atan2
+    dx = bcx - acx
+    dy = bcy - acy
+    dist = math.hypot(dx, dy)
+    # _circle_circle(a's circle, b's circle)
+    if dist != 0.0:
+        m = (ar * ar - br * br + dist * dist) / (2.0 * dist)
+        h2 = ar * ar - m * m
+        if h2 >= 0.0:
+            k = 1.0 / dist
+            ux = dx * k
+            uy = dy * k
+            mx = acx + ux * m
+            my = acy + uy * m
+            h = math.sqrt(max(h2, 0.0))
+            if h == 0.0:
+                crossings = ((mx, my),)
+            else:
+                ox = -uy * h
+                oy = ux * h
+                crossings = ((mx + ox, my + oy), (mx - ox, my - oy))
+            for x, y in crossings:
+                if _on_arc(atan2(y - acy, x - acx), a0, accw, asw) and \
+                   _on_arc(atan2(y - bcy, x - bcx), b0, bccw, bsw):
+                    pt = Vec2(x, y)
+                    return 0.0, pt, pt
+    cands = []
+    for px, py in ((asx, asy), (aex, aey)):
+        d, qx, qy = _arc_foot(px, py, rb)
+        cands.append((d, px, py, qx, qy))
+    for px, py in ((bsx, bsy), (bex, bey)):
+        d, qx, qy = _arc_foot(px, py, ra)
+        cands.append((d, qx, qy, px, py))
+    if dist > 1e-12 * (ar + br):
+        # the points of both circles on the line of centres
+        k = 1.0 / dist
+        ux = dx * k
+        uy = dy * k
+        for pax, pay in ((acx + ux * ar, acy + uy * ar),
+                         (acx - ux * ar, acy - uy * ar)):
+            if not _on_arc(atan2(pay - acy, pax - acx), a0, accw, asw):
                 continue
-            for pb in (b.center + u * b.radius, b.center - u * b.radius):
-                if b.contains_angle((pb - b.center).angle()):
-                    cands.append((pa.distance(pb), pa, pb))
+            for pbx, pby in ((bcx + ux * br, bcy + uy * br),
+                             (bcx - ux * br, bcy - uy * br)):
+                if _on_arc(atan2(pby - bcy, pbx - bcx), b0, bccw, bsw):
+                    cands.append((math.hypot(pax - pbx, pay - pby),
+                                  pax, pay, pbx, pby))
     else:
         # near-concentric: radial gap wherever the angular spans overlap
-        for phi in (a.start_angle, a.end_angle, b.start_angle, b.end_angle):
-            if a.contains_angle(phi) and b.contains_angle(phi):
-                pa = a.center + a.radius * unit_from_angle(phi)
-                pb = b.center + b.radius * unit_from_angle(phi)
-                cands.append((pa.distance(pb), pa, pb))
-    return min(cands, key=lambda c: c[0])
+        for phi in (a0, atan2(aey - acy, aex - acx),
+                    b0, atan2(bey - bcy, bex - bcx)):
+            if _on_arc(phi, a0, accw, asw) and _on_arc(phi, b0, bccw, bsw):
+                c = math.cos(phi)
+                s = math.sin(phi)
+                pax = acx + c * ar
+                pay = acy + s * ar
+                pbx = bcx + c * br
+                pby = bcy + s * br
+                cands.append((math.hypot(pax - pbx, pay - pby),
+                              pax, pay, pbx, pby))
+    return _nearest(cands)
+
+
+def piece_distance(a: BoundaryPiece, b: BoundaryPiece) -> tuple:
+    """Minimal distance between two pieces with the realizing points.
+
+    Zero, at a crossing point, when the pieces meet: a segment pair within
+    1e-12 of both parameter ranges, or a point where the lines or circles
+    cross that lies on both pieces.  Otherwise the least of these candidate
+    distances, the first one on a tie: each end of a to b, each end of b to
+    a (_segment_foot, _arc_foot), then for a segment and an arc the radial
+    projection of the foot of the centre on the segment, and for two arcs
+    the points on the line of centres, or, for nearly concentric arcs, the
+    radial gaps at the four end directions.  Plain floats throughout; only
+    the returned points are built as Vec2.
+    """
+    a_arc, ra = _piece_row(a)
+    b_arc, rb = _piece_row(b)
+    if not a_arc:
+        if not b_arc:
+            return _segment_segment(ra, rb)
+        d, pb, pa = _arc_segment(rb, ra)
+        return d, pa, pb
+    if not b_arc:
+        return _arc_segment(ra, rb)
+    return _arc_arc(ra, rb)
 
 
 def _bbox_gap(b1: tuple, b2: tuple) -> float:
@@ -788,15 +822,33 @@ def _bbox_gap(b1: tuple, b2: tuple) -> float:
 
 
 def assert_simple(p: ArcPolygon, tol: Optional[float] = None) -> None:
-    """Raise SelfIntersecting if non-adjacent pieces touch or cross."""
+    """Raise SelfIntersecting if two non-adjacent pieces come within tol.
+
+    Pieces i and j count as adjacent when every piece between them, one way
+    round the loop, is no longer than tol: a run of such short pieces is
+    one junction at the scale tol, and the pieces on either side of it meet
+    within its length.  So the check proves that any two pieces with a
+    piece longer than tol between them both ways round the loop stay more
+    than tol apart; it says nothing about the pieces inside one run of
+    short pieces.
+    """
     if tol is None:
         tol = 1e-9 * p.diameter
     pieces = p.pieces
     n = len(pieces)
+    short = [q.length <= tol for q in pieces]
     boxes, nodes = _piece_tree(p)
     for i in range(n):
-        for j in _near_pieces(nodes, boxes[i], i + 2, tol):
-            if i == 0 and j == n - 1:
+        # the first long piece after i, and before i (a negative index
+        # wraps round the loop); the pieces up to them are adjacent to i
+        after = i + 1
+        while after < n and short[after]:
+            after += 1
+        before = i - 1
+        while before > i - n and short[before]:
+            before -= 1
+        for j in _near_pieces(nodes, boxes[i], after + 1, tol):
+            if j >= before + n:
                 continue
             if _bbox_gap(boxes[i], boxes[j]) > tol:
                 continue

@@ -1,0 +1,189 @@
+"""Reference versions of the geom kernel, kept for the tests to compare with.
+
+These are the straightforward per-piece queries written with `Vec2`
+operations: the point/piece distances, the segment/segment intersection,
+the piece/piece distance with its realising points, and the distance plus
+winding number of a point.  The library computes the same expressions on
+plain floats (`geom.piece_distance`, `geom.distance_to_boundary`); the
+tests require the results to agree bit for bit.
+"""
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+from cheeger import geom
+from cheeger.geom import TAU, Arc, ArcPolygon, Segment, Vec2
+
+
+def end_angle(a: Arc) -> float:
+    return (a.end - a.center).angle()
+
+
+def point_to_segment(x: Vec2, s: Segment) -> tuple:
+    d = s.end - s.start
+    dd = d.dot(d)
+    if dd == 0.0:
+        return x.distance(s.start), s.start
+    t = (x - s.start).dot(d) / dd
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    foot = s.point_at(t)
+    return x.distance(foot), foot
+
+
+def point_to_arc(x: Vec2, a: Arc) -> tuple:
+    v = x - a.center
+    r = v.norm()
+    if r > 1e-300:
+        phi = v.angle()
+        if a.contains_angle(phi):
+            q = a.center + a.radius * (v * (1.0 / r))
+            return abs(r - a.radius), q
+    d0 = x.distance(a.start)
+    d1 = x.distance(a.end)
+    return (d0, a.start) if d0 <= d1 else (d1, a.end)
+
+
+def point_to_piece(x: Vec2, piece) -> tuple:
+    if isinstance(piece, Segment):
+        return point_to_segment(x, piece)
+    return point_to_arc(x, piece)
+
+
+def segment_intersection(a: Segment, b: Segment) -> Optional[Vec2]:
+    p, r = a.start, a.end - a.start
+    q, s = b.start, b.end - b.start
+    denom = r.cross(s)
+    if denom == 0.0:
+        return None
+    t = (q - p).cross(s) / denom
+    u = (q - p).cross(r) / denom
+    if -1e-12 <= t <= 1.0 + 1e-12 and -1e-12 <= u <= 1.0 + 1e-12:
+        return p + r * t
+    return None
+
+
+def piece_distance(a, b) -> tuple:
+    """Minimal distance between two pieces with the realizing points."""
+    if isinstance(a, Segment) and isinstance(b, Segment):
+        x = segment_intersection(a, b)
+        if x is not None:
+            return 0.0, x, x
+        cands = []
+        for pt in (a.start, a.end):
+            d, q = point_to_segment(pt, b)
+            cands.append((d, pt, q))
+        for pt in (b.start, b.end):
+            d, q = point_to_segment(pt, a)
+            cands.append((d, q, pt))
+        return min(cands, key=lambda c: c[0])
+    if isinstance(a, Segment):
+        d, pb, pa = piece_distance(b, a)
+        return d, pa, pb
+    if isinstance(b, Segment):
+        seg, arc = b, a
+        dvec = seg.end - seg.start
+        for t in geom._line_circle(seg.start, dvec, arc.center, arc.radius):
+            if -1e-12 <= t <= 1.0 + 1e-12:
+                pt = seg.point_at(min(max(t, 0.0), 1.0))
+                if arc.contains_angle((pt - arc.center).angle()):
+                    return 0.0, pt, pt
+        cands = []
+        for pt in (seg.start, seg.end):
+            d, q = point_to_arc(pt, arc)
+            cands.append((d, q, pt))
+        for pt in (arc.start, arc.end):
+            d, q = point_to_segment(pt, seg)
+            cands.append((d, pt, q))
+        t = (arc.center - seg.start).dot(dvec) / dvec.dot(dvec)
+        if 0.0 < t < 1.0:
+            foot = seg.point_at(t)
+            v = foot - arc.center
+            if v.norm() > 1e-300:
+                q = arc.center + arc.radius * v.unit()
+                if arc.contains_angle((q - arc.center).angle()):
+                    cands.append((q.distance(foot), q, foot))
+        best = min(cands, key=lambda c: c[0])
+        return best[0], best[1], best[2]
+    # arc/arc
+    for x in geom._circle_circle(a.center, a.radius, b.center, b.radius):
+        if a.contains_angle((x - a.center).angle()) and \
+           b.contains_angle((x - b.center).angle()):
+            return 0.0, x, x
+    cands = []
+    for pt in (a.start, a.end):
+        d, q = point_to_arc(pt, b)
+        cands.append((d, pt, q))
+    for pt in (b.start, b.end):
+        d, q = point_to_arc(pt, a)
+        cands.append((d, q, pt))
+    sep = b.center - a.center
+    dist = sep.norm()
+    if dist > 1e-12 * (a.radius + b.radius):
+        u = sep * (1.0 / dist)
+        for pa in (a.center + u * a.radius, a.center - u * a.radius):
+            if not a.contains_angle((pa - a.center).angle()):
+                continue
+            for pb in (b.center + u * b.radius, b.center - u * b.radius):
+                if b.contains_angle((pb - b.center).angle()):
+                    cands.append((pa.distance(pb), pa, pb))
+    else:
+        # near-concentric: radial gap wherever the angular spans overlap
+        for phi in (a.start_angle, end_angle(a), b.start_angle, end_angle(b)):
+            if a.contains_angle(phi) and b.contains_angle(phi):
+                pa = a.center + a.radius * geom.unit_from_angle(phi)
+                pb = b.center + b.radius * geom.unit_from_angle(phi)
+                cands.append((pa.distance(pb), pa, pb))
+    return min(cands, key=lambda c: c[0])
+
+
+def nearest_and_winding(p: ArcPolygon, x: Vec2) -> tuple:
+    """Distance from x to the boundary and the winding number around x.
+
+    One pass over plain floats that evaluates the expressions of
+    point_to_segment, point_to_arc and the per-piece winding angle (chord
+    angle, in the arc's own sense when x is inside its circle) in their order,
+    so the distance equals the least point_to_piece distance bit for bit
+    and the winding angles add up in piece order.
+    """
+    px, py = x.x, x.y
+    hypot, atan2, tau = math.hypot, math.atan2, TAU
+    wrap = tau - 1e-9
+    best = math.inf
+    total = 0.0
+    for is_arc, row in geom._flat_pieces(p):
+        if is_arc:
+            sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
+            vx = px - cx
+            vy = py - cy
+            r = hypot(vx, vy)
+            d = -1.0
+            if r > 1e-300:
+                phi = atan2(vy, vx)
+                off = (phi - a0) % tau if ccw else (a0 - phi) % tau
+                if off <= sweep + 1e-9 or off >= wrap:
+                    d = abs(r - radius)
+            if d < 0.0:
+                d0 = hypot(px - sx, py - sy)
+                d1 = hypot(px - ex, py - ey)
+                d = d0 if d0 <= d1 else d1
+        else:
+            sx, sy, ex, ey, dx, dy, dd = row
+            if dd == 0.0:
+                d = hypot(px - sx, py - sy)
+            else:
+                t = ((px - sx) * dx + (py - sy) * dy) / dd
+                t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+                d = hypot(px - (sx + dx * t), py - (sy + dy * t))
+        if d < best:
+            best = d
+        ax = sx - px
+        ay = sy - py
+        bx = ex - px
+        by = ey - py
+        w = atan2(ax * by - ay * bx, ax * bx + ay * by)
+        if is_arc and r < radius:
+            # seen from inside its circle an arc turns only its own way
+            w = w % tau if ccw else -(-w % tau)
+        total += w
+    return best, total / tau

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import geom_reference as reference
 from cheeger import geom, verify
 from cheeger.errors import InvalidGeometry, ReachViolation, SelfIntersecting
 from cheeger.geom import Arc, ArcPolygon, Segment, Vec2
@@ -155,7 +156,7 @@ def test_reach_bound_respected_by_nearest_point_scan():
             continue
         hits = []
         for piece in shape.pieces:
-            d, pt = geom.point_to_piece(q, piece)
+            d, pt = reference.point_to_piece(q, piece)
             hits.append((d, pt))
         dmin = min(h[0] for h in hits)
         close = [pt for d, pt in hits if d <= dmin * (1.0 + 1e-9)]
@@ -321,7 +322,7 @@ def _kernel_strips():
 
 
 def _nearest_piece_distance(poly, x):
-    return min(geom.point_to_piece(x, q)[0] for q in poly.pieces)
+    return min(reference.point_to_piece(x, q)[0] for q in poly.pieces)
 
 
 @given(st.integers(0, 2), fractions, fractions, shifts, shifts)
@@ -408,7 +409,7 @@ def _indexed_shapes():
 
 
 def _winding_signed_distance(poly, x):
-    best, winding = geom._nearest_and_winding(poly, x)
+    best, winding = reference.nearest_and_winding(poly, x)
     return best if winding > 0.5 else -best
 
 
@@ -528,3 +529,132 @@ def test_simple_check_finds_crossing_far_apart_in_loop_order():
     points[150] = Vec2(1.5, 0.01)
     with pytest.raises(SelfIntersecting, match="pieces 0 and 149 "):
         geom.assert_simple(geom.polygon_from_points(points))
+
+
+def test_simple_check_finds_crossing_far_from_short_piece():
+    # the same pulled-out vertex, with edge 75 split 1e-12 from its start:
+    # the sub-tolerance piece makes its own neighbours adjacent, nothing more
+    points = [geom.unit_from_angle(geom.TAU * k / 300) for k in range(300)]
+    points[150] = Vec2(1.5, 0.01)
+    points.insert(76, points[75] + (points[76] - points[75]) * 1e-12)
+    poly = geom.polygon_from_points(points)
+    assert poly.pieces[75].length < 1e-9 * poly.diameter
+    with pytest.raises(SelfIntersecting, match="pieces 0 and 150 "):
+        geom.assert_simple(poly)
+
+
+# ---------------------------------------------------------------------------
+# the float piece/piece kernel against the Vec2 reference, bit for bit
+
+def _bits(result):
+    d, pa, pb = result
+    return d.hex(), pa.x.hex(), pa.y.hex(), pb.x.hex(), pb.y.hex()
+
+
+def _assert_kernel_matches_reference(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert _bits(geom.piece_distance(x, y)) == \
+            _bits(reference.piece_distance(x, y))
+
+
+angles = st.floats(min_value=0.0, max_value=geom.TAU)
+lengths = st.floats(min_value=0.05, max_value=3.0)
+sweeps = st.builds(lambda s, ccw: s if ccw else -s,
+                   st.floats(min_value=0.05, max_value=geom.TAU - 0.05),
+                   st.booleans())
+PAIR_FAMILIES = ("segments_crossing", "segments_parallel",
+                 "segments_collinear", "segment_arc_secant",
+                 "segment_arc_tangent", "segment_arc_missing",
+                 "arcs_crossing", "arcs_nearly_concentric")
+
+
+@st.composite
+def piece_pairs(draw, family):
+    """Two pieces of one family, near the origin or near (+-1e6, -+1e6)."""
+    base = draw(st.sampled_from(((0.0, 0.0), (1e6, -1e6), (-1e6, 1e6))))
+    ox = base[0] + draw(st.floats(min_value=-1.0, max_value=1.0))
+    oy = base[1] + draw(st.floats(min_value=-1.0, max_value=1.0))
+
+    def at(x, y):
+        return Vec2(ox + x, oy + y)
+
+    def arc(cx, cy, radius):
+        return Arc.from_angles(at(cx, cy), radius, draw(angles), draw(sweeps))
+
+    if family.startswith("segments"):
+        # an exactly horizontal first segment makes parallel pairs exact
+        th = draw(st.one_of(st.just(0.0), angles))
+        c, s = math.cos(th), math.sin(th)
+        length = draw(lengths)
+        a = Segment(at(0.0, 0.0), at(length * c, length * s))
+        if family == "segments_crossing":
+            t = draw(st.floats(min_value=0.05, max_value=0.95)) * length
+            th2 = th + draw(st.floats(min_value=0.2, max_value=math.pi - 0.2))
+            u0, u1 = -draw(lengths), draw(lengths)
+            b = Segment(at(t * c + u0 * math.cos(th2), t * s + u0 * math.sin(th2)),
+                        at(t * c + u1 * math.cos(th2), t * s + u1 * math.sin(th2)))
+        else:
+            h = (0.0 if family == "segments_collinear"
+                 else draw(st.floats(min_value=1e-9, max_value=2.0)))
+            u0 = draw(st.floats(min_value=-1.0, max_value=length))
+            u1 = u0 + draw(lengths)
+            b = Segment(at(u0 * c - h * s, u0 * s + h * c),
+                        at(u1 * c - h * s, u1 * s + h * c))
+        return a, b
+    ra = draw(st.floats(min_value=0.1, max_value=3.0))
+    a = arc(0.0, 0.0, ra)
+    if family.startswith("segment_arc"):
+        # the segment's line at distance h from the centre
+        lo, hi = {"segment_arc_secant": (0.0, 0.99),
+                  "segment_arc_tangent": (1.0, 1.0),
+                  "segment_arc_missing": (1.01, 3.0)}[family]
+        h = ra * draw(st.floats(min_value=lo, max_value=hi))
+        psi = draw(angles)
+        c, s = math.cos(psi), math.sin(psi)
+        u0, u1 = -draw(lengths), draw(lengths)
+        return a, Segment(at(h * c - u0 * s, h * s + u0 * c),
+                          at(h * c - u1 * s, h * s + u1 * c))
+    rb = draw(st.floats(min_value=0.1, max_value=3.0))
+    if family == "arcs_crossing":
+        # between the centre gaps of internal and external tangency
+        u = draw(st.floats(min_value=0.01, max_value=0.99))
+        gap = abs(ra - rb) + u * (ra + rb - abs(ra - rb))
+    else:
+        # a centre offset below 1e-12 * (ra + rb), or none
+        tiny = st.floats(min_value=1e-17, max_value=5e-13)
+        gap = draw(st.one_of(st.just(0.0), tiny)) * (ra + rb)
+    phi = draw(angles)
+    return a, arc(gap * math.cos(phi), gap * math.sin(phi), rb)
+
+
+@pytest.mark.parametrize("family", PAIR_FAMILIES)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_piece_distance_matches_vec2_reference(family, data):
+    a, b = data.draw(piece_pairs(family))
+    _assert_kernel_matches_reference(a, b)
+
+
+def test_piece_distance_matches_reference_on_strip_pairs():
+    pieces = _kernel_strips()[0].boundary.pieces
+    for a in pieces:
+        for b in pieces:
+            _assert_kernel_matches_reference(a, b)
+
+
+HALF_CIRCLE = Arc(Vec2(1.0, 0.0), Vec2(-1.0, 0.0), Vec2(0.0, 0.0), 1.0, True,
+                  math.pi)
+
+
+@pytest.mark.parametrize("a, b, d", [
+    # every candidate is sqrt(5) away: the first, the arc's start, wins
+    (HALF_CIRCLE, Segment(Vec2(0.0, -2.0), Vec2(0.0, -3.0)), math.sqrt(5.0)),
+    # within 1e-12 of both parameter ranges counts as meeting
+    (Segment(Vec2(0.0, 0.0), Vec2(1.0, 0.0)),
+     Segment(Vec2(0.5, 1e-13), Vec2(0.5, 1.0)), 0.0),
+    (Segment(Vec2(0.0, 0.0), Vec2(1.0 - 1e-13, 0.0)),
+     Arc.from_angles(Vec2(2.0, 0.0), 1.0, 0.5 * math.pi, math.pi), 0.0),
+], ids=["tie", "segment-stops-short", "circle-stops-short"])
+def test_piece_distance_matches_reference_at_ties_and_near_touches(a, b, d):
+    assert geom.piece_distance(a, b)[0] == d
+    _assert_kernel_matches_reference(a, b)

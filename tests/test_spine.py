@@ -4,10 +4,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cheeger import geom, spine
+from cheeger import cli, geom, spine
 from cheeger.errors import (BallNotContained, DomainError, InvalidGeometry,
                             NotADiffeomorphism, SelfIntersecting)
 from cheeger.geom import Arc, Vec2
+from conftest import straight_strip_root
 
 
 def test_straight_strip_is_rectangle():
@@ -90,6 +91,21 @@ def test_overlapping_annulus_rejected():
 def test_closed_spine_rejected():
     with pytest.raises((InvalidGeometry, SelfIntersecting)):
         spine.build_strip(spine.circular_spine(0.5, 4.0 * math.pi), 1.0)
+
+
+# a spine piece far below the simplicity tolerance 1e-9 * L leaves a
+# rectangle; its boundary pieces either side must not count as touching
+@pytest.mark.parametrize("first", [
+    {"kind": "line", "length": 1e-9},
+    {"kind": "arc", "length": 1e-12, "curvature": 0.5},
+], ids=["line", "arc"])
+def test_rectangle_with_sub_tolerance_spine_piece_solves(first):
+    spec = {"type": "strip", "halfwidth": 1.0,
+            "spine": [first, {"kind": "line", "length": 20.0}]}
+    report = cli.build_report(cli.solve_domain(spec))
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+    L = first["length"] + 20.0
+    assert report["h"] == pytest.approx(1.0 / straight_strip_root(L), abs=1e-9)
 
 
 def test_spine_curvature_limit():
