@@ -87,16 +87,19 @@ def _support_vertex(a: _Support, b: _Support, hint: Vec2) -> Optional[Vec2]:
             # tangential junction: rounding splits the double root about
             # 1e-8 apart, which would tilt the junction past ANG_TOL
             return line.point + line.direction * off.dot(line.direction)
-        ts = geom._line_circle(line.point, line.direction, circ.center,
+        px, py = line.point.x, line.point.y
+        dx, dy = line.direction.x, line.direction.y
+        ts = geom._line_circle(px, py, dx, dy, circ.center.x, circ.center.y,
                                circ.radius)
         if not ts:
             return None
-        cands = [line.point + line.direction * t for t in ts]
+        cands = [Vec2(px + dx * t, py + dy * t) for t in ts]
         return min(cands, key=lambda q: q.distance(hint))
     same_center = a.center.distance(b.center) <= 1e-12 * (a.radius + b.radius + 1.0)
     if same_center and abs(a.radius - b.radius) <= 1e-12 * (a.radius + 1.0):
         return a.center + a.radius * (hint - a.center).unit()
-    pts = geom._circle_circle(a.center, a.radius, b.center, b.radius)
+    pts = [Vec2(x, y) for x, y in geom._circle_circle(
+        a.center.x, a.center.y, a.radius, b.center.x, b.center.y, b.radius)]
     if not pts:
         return None
     return min(pts, key=lambda q: q.distance(hint))

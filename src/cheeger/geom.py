@@ -3,10 +3,13 @@
 Areas and perimeters are closed-form (Green's theorem with circular-segment
 terms), offsets by a disk stay inside the same representation, and distance
 queries and piece-pair scans search a tree of bounding boxes over runs of
-consecutive pieces, built once per loop.  Point and piece-pair distances
-compute on plain floats read from the pieces (_piece_row) and build a Vec2
-only for a point they return.  Everything is immutable and pure; an arc
-computes its start angle once, on first read.
+consecutive pieces.  Each kernel primitive has one implementation, on plain
+floats read from the pieces (_piece_row): the point foot on a segment and on
+an arc, the arc's bounding box, line/circle and circle/circle crossings.
+They build a Vec2 only for a point a public function returns.  Each loop
+builds one index, its rows, piece boxes and box tree, on first use.
+Everything is immutable and pure; an arc computes its start angle once, on
+first read.
 """
 from __future__ import annotations
 
@@ -24,6 +27,8 @@ TAU = 2.0 * math.pi
 REL_TOL = 1e-12
 # Angular tolerance used when classifying junction turns.
 ANG_TOL = 1e-9
+# Angle (radians) past either end of an arc that still counts as on the arc.
+ARC_END_SLACK = 1e-9
 # Directions of the axis-extreme points of a circle.
 _QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 _by_distance = operator.itemgetter(0)
@@ -86,9 +91,9 @@ def unit_from_angle(phi: float) -> Vec2:
 
 def _on_arc(phi: float, a0: float, ccw: bool, sweep: float) -> bool:
     """Whether direction phi lies on the arc that starts at direction a0 and
-    sweeps `sweep` in its sense, up to 1e-9 rad past either end."""
+    sweeps `sweep` in its sense, up to ARC_END_SLACK past either end."""
     off = (phi - a0) % TAU if ccw else (a0 - phi) % TAU
-    return off <= sweep + 1e-9 or off >= TAU - 1e-9
+    return off <= sweep + ARC_END_SLACK or off >= TAU - ARC_END_SLACK
 
 
 @dataclass(frozen=True)
@@ -113,9 +118,6 @@ class Segment:
 
     def point_at(self, u: float) -> Vec2:
         return self.start + (self.end - self.start) * u
-
-    def tangent_at(self, u: float) -> Vec2:
-        return self.direction()
 
     def tangent_at_start(self) -> Vec2:
         return self.direction()
@@ -233,13 +235,13 @@ class Arc:
                                self.signed_sweep * (u1 - u0))
 
     def bbox(self) -> tuple:
+        cx, cy, radius = self.center.x, self.center.y, self.radius
         xs = [self.start.x, self.end.x]
         ys = [self.start.y, self.end.y]
         for phi in _QUARTER_TURNS:
             if self.contains_angle(phi):
-                p = self.center + self.radius * unit_from_angle(phi)
-                xs.append(p.x)
-                ys.append(p.y)
+                xs.append(cx + math.cos(phi) * radius)
+                ys.append(cy + math.sin(phi) * radius)
         return (min(xs), min(ys), max(xs), max(ys))
 
 
@@ -264,8 +266,7 @@ class ArcPolygon:
     share endpoints to within 1e-12 of the loop diameter.
     """
 
-    __slots__ = ("pieces", "_area", "_perimeter", "_bbox", "_flat", "_tree",
-                 "_turns")
+    __slots__ = ("pieces", "_area", "_perimeter", "_bbox", "_index", "_turns")
 
     def __init__(self, pieces: Sequence[BoundaryPiece]):
         pieces = tuple(pieces)
@@ -292,15 +293,18 @@ class ArcPolygon:
         if a < 0.0:
             pieces = tuple(p.reversed() for p in reversed(pieces))
             a = -a
+        perimeter = sum(p.length for p in pieces)
+        if not (math.isfinite(a) and math.isfinite(perimeter)):
+            raise InvalidGeometry(
+                f"loop measures overflow: area {a}, perimeter {perimeter}")
         eps = diam * REL_TOL
         if a <= eps * eps:  # eps ** 2 would raise OverflowError on huge loops
             raise InvalidGeometry("loop encloses no area")
         self.pieces = pieces
         self._area = a
-        self._perimeter = sum(p.length for p in pieces)
+        self._perimeter = perimeter
         self._bbox = (min(xs), min(ys), max(xs), max(ys))
-        self._flat = None  # filled by _flat_pieces
-        self._tree = None  # filled by _piece_tree
+        self._index = None  # filled by _piece_index
         self._turns = None  # filled by junction_turns
 
     @property
@@ -378,59 +382,37 @@ def _piece_row(q: BoundaryPiece) -> tuple:
                   q.start_angle, q.sweep)
 
 
-def _flat_pieces(p: ArcPolygon) -> tuple:
-    """The loop's _piece_row rows, built on the first point query.  Two
-    threads filling it at once build equal tables, so the polygon stays
-    safe to share."""
-    flat = p._flat
-    if flat is None:
-        flat = p._flat = tuple(map(_piece_row, p.pieces))
-    return flat
+def _piece_index(p: ArcPolygon) -> tuple:
+    """The loop's index, built on first use: (rows, boxes, nodes).
 
-
-def _piece_tree(p: ArcPolygon) -> tuple:
-    """Bounding boxes of runs of consecutive pieces, built on first use.
-
-    Returns (boxes, nodes).  boxes[i] is the box of piece i, equal to
-    pieces[i].bbox() bit for bit.  nodes[k] = (x0, y0, x1, y1, lo, hi) bounds
-    pieces lo..hi-1; its children 2k+1 and 2k+2 halve the run, down to
-    single pieces, and unused numbers hold None.  Consecutive pieces are
-    neighbours in the plane, so the runs have compact boxes.
+    rows[i] is pieces[i] as a _piece_row and boxes[i] is pieces[i].bbox().
+    nodes[k] = (x0, y0, x1, y1, lo, hi) bounds pieces lo..hi-1; its children
+    2k+1 and 2k+2 halve the run, down to single pieces, and unused numbers
+    hold None.  Consecutive pieces are neighbours in the plane, so the runs
+    have compact boxes.
 
     Node boxes are padded by 1e-9 of the loop's coordinates plus diameter,
     which covers the rounding of a computed piece distance, and each arc by
-    2e-9 of its radius on top: the distance to an arc is radial, |x - c| -
-    radius, wherever the direction of x from the centre lies on the arc or
-    within 1e-9 rad past either end (_on_arc).  A piece whose computed
-    distance to x is d therefore lies in node boxes within d of x, up to the
-    rounding of x's own coordinates.  Filled like _flat_pieces, by one
-    assignment of a finished tuple.
+    2 * ARC_END_SLACK of its radius on top: the distance to an arc is
+    radial, |x - c| - radius, wherever the direction of x from the centre
+    lies on the arc or within ARC_END_SLACK past either end (_on_arc).  A
+    piece whose computed distance to x is d therefore lies in node boxes
+    within d of x, up to the rounding of x's own coordinates.  The index is
+    stored by one assignment of a finished tuple; two threads filling it at
+    once build equal indexes, so the polygon stays safe to share.
     """
-    tree = p._tree
-    if tree is None:
+    index = p._index
+    if index is None:
         base = 1e-9 * (max(map(abs, p._bbox)) + p.diameter)
-        boxes, pads = [], []
-        for is_arc, row in _flat_pieces(p):
-            if is_arc:
-                # the expressions of Arc.bbox
-                sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
-                xs, ys = [sx, ex], [sy, ey]
-                for phi in _QUARTER_TURNS:
-                    if _on_arc(phi, a0, ccw, sweep):
-                        xs.append(cx + math.cos(phi) * radius)
-                        ys.append(cy + math.sin(phi) * radius)
-                boxes.append((min(xs), min(ys), max(xs), max(ys)))
-                pads.append(base + 2e-9 * radius)
-            else:
-                sx, sy, ex, ey = row[:4]
-                boxes.append((min(sx, ex), min(sy, ey), max(sx, ex), max(sy, ey)))
-                pads.append(base)
+        boxes = tuple(q.bbox() for q in p.pieces)
         nodes: list = [None] * (4 * len(boxes))
 
         def fill(k: int, lo: int, hi: int) -> tuple:
             if hi - lo == 1:
+                q = p.pieces[lo]
+                pad = base + 2.0 * ARC_END_SLACK * q.radius \
+                    if isinstance(q, Arc) else base
                 bx0, by0, bx1, by1 = boxes[lo]
-                pad = pads[lo]
                 box = (bx0 - pad, by0 - pad, bx1 + pad, by1 + pad)
             else:
                 mid = (lo + hi) // 2
@@ -444,8 +426,9 @@ def _piece_tree(p: ArcPolygon) -> tuple:
         fill(0, 0, len(boxes))
         while nodes[-1] is None:
             nodes.pop()
-        tree = p._tree = (tuple(boxes), tuple(nodes))
-    return tree
+        index = p._index = (tuple(map(_piece_row, p.pieces)), boxes,
+                            tuple(nodes))
+    return index
 
 
 def _near_pieces(nodes: tuple, box: tuple, first: int, reach: float) -> list:
@@ -470,44 +453,46 @@ def _near_pieces(nodes: tuple, box: tuple, first: int, reach: float) -> list:
     return found
 
 
-def _piece_foot(is_arc: bool, row: tuple, px: float, py: float) -> tuple:
-    """Distance from (px, py) to one _piece_row, and where the nearest point
-    lies: -1 at or before the piece's start, 1 at or past its end, 0
-    between.  A segment's distance is to the foot of the clamped projection
-    t = ((x - s) . d) / |d|^2; an arc's is radial, |x - c| - radius, up to
-    1e-9 rad past either end (there the point counts as past that end), and
-    otherwise to the nearer end, the start on a tie: the expressions of
-    _segment_foot and _arc_foot, in their order."""
-    if is_arc:
-        sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
-        vx = px - cx
-        vy = py - cy
-        r = math.hypot(vx, vy)
-        if r > 1e-300:
-            phi = math.atan2(vy, vx)
-            off = (phi - a0) % TAU if ccw else (a0 - phi) % TAU
-            if off <= sweep:
-                return abs(r - radius), 0
-            if off <= sweep + 1e-9:
-                return abs(r - radius), 1
-            if off >= TAU - 1e-9:
-                return abs(r - radius), -1
-        d0 = math.hypot(px - sx, py - sy)
-        d1 = math.hypot(px - ex, py - ey)
-        if r <= 1e-300:
-            # at the centre every point of the arc is nearest
-            return (d0 if d0 <= d1 else d1), 0
-        return (d0, -1) if d0 <= d1 else (d1, 1)
-    sx, sy, ex, ey, dx, dy, dd = row
+def _segment_foot(px: float, py: float, row: tuple) -> tuple:
+    """(d, at, x, y): the distance from (px, py) to a segment row, where the
+    nearest point lies (-1 at or before the start, 1 at or past the end, 0
+    between) and that point, the foot of the clamped projection
+    t = ((x - s) . d) / |d|^2."""
+    sx, sy, _, _, dx, dy, dd = row
     if dd == 0.0:
-        return math.hypot(px - sx, py - sy), -1
+        return math.hypot(px - sx, py - sy), -1, sx, sy
     t = ((px - sx) * dx + (py - sy) * dy) / dd
-    at = 0
-    if t <= 0.0:
-        t, at = 0.0, -1
-    elif t >= 1.0:
-        t, at = 1.0, 1
-    return math.hypot(px - (sx + dx * t), py - (sy + dy * t)), at
+    at = -1 if t <= 0.0 else (1 if t >= 1.0 else 0)
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    fx = sx + dx * t
+    fy = sy + dy * t
+    return math.hypot(px - fx, py - fy), at, fx, fy
+
+
+def _arc_foot(px: float, py: float, row: tuple) -> tuple:
+    """(d, at, x, y) for an arc row, as _segment_foot.  The distance is
+    radial, |x - c| - radius, where _on_arc holds for the direction of x
+    from the centre (within ARC_END_SLACK past an end the point counts as
+    at that end), else to the nearer end, the start on a tie.  At the
+    centre every point of the arc is nearest, and `at` is 0."""
+    sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
+    vx = px - cx
+    vy = py - cy
+    r = math.hypot(vx, vy)
+    if r > 1e-300:
+        phi = math.atan2(vy, vx)
+        off = (phi - a0) % TAU if ccw else (a0 - phi) % TAU
+        if off <= sweep + ARC_END_SLACK or off >= TAU - ARC_END_SLACK:
+            at = 0 if off <= sweep else (1 if off <= sweep + ARC_END_SLACK
+                                         else -1)
+            k = 1.0 / r
+            return (abs(r - radius), at,
+                    cx + vx * k * radius, cy + vy * k * radius)
+    d0 = math.hypot(px - sx, py - sy)
+    d1 = math.hypot(px - ex, py - ey)
+    if d0 <= d1:
+        return d0, (-1 if r > 1e-300 else 0), sx, sy
+    return d1, (1 if r > 1e-300 else 0), ex, ey
 
 
 def _inner_side(is_arc: bool, row: tuple, px: float, py: float) -> bool:
@@ -527,7 +512,8 @@ def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
     A depth-first search of the box tree, nearer child first, skips a node
     only when its padded box lies farther from x than the best distance so
     far by more than the rounding of x's coordinates.  So the magnitude is
-    the least _piece_foot distance over all pieces, bit for bit.
+    the least _segment_foot or _arc_foot distance over all pieces, bit for
+    bit.
 
     The sign comes from the nearest piece: the open segment from x to a
     nearest boundary point does not meet the boundary.  When that point is
@@ -540,8 +526,7 @@ def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
     interior point.  At a tangent junction the piece's own side decides.
     """
     px, py = x.x, x.y
-    flat = _flat_pieces(p)
-    nodes = _piece_tree(p)[1]
+    rows, _, nodes = _piece_index(p)
     slack = 1e-9 * (abs(px) + abs(py))
     best = limit = limit2 = math.inf
     nearest = where = 0
@@ -553,7 +538,8 @@ def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
             continue
         _, _, _, _, lo, hi = nodes[k]
         if hi - lo == 1:
-            d, at = _piece_foot(*flat[lo], px, py)
+            is_arc, row = rows[lo]
+            d, at, _, _ = (_arc_foot if is_arc else _segment_foot)(px, py, row)
             if d < best:
                 best, nearest, where = d, lo, at
                 limit = best + slack
@@ -578,11 +564,11 @@ def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
         if ga <= limit2:
             stack.append(a)
             gaps.append(ga)
-    inside = _inner_side(*flat[nearest], px, py)
+    inside = _inner_side(*rows[nearest], px, py)
     if where:
         turn = junction_turns(p)[nearest if where > 0 else nearest - 1]
         if abs(turn) > ANG_TOL:
-            other = _inner_side(*flat[(nearest + where) % len(flat)], px, py)
+            other = _inner_side(*rows[(nearest + where) % len(rows)], px, py)
             inside = (inside and other) if turn > 0.0 else (inside or other)
     return best if inside else -best
 
@@ -591,12 +577,15 @@ def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
 # piece/piece distances and intersections
 
 
-def _line_circle(p0: Vec2, d: Vec2, center: Vec2, radius: float) -> list:
-    """Parameters t with |p0 + t*d - center| = radius (d need not be unit)."""
-    f = p0 - center
-    aa = d.dot(d)
-    bb = 2.0 * f.dot(d)
-    cc = f.dot(f) - radius * radius
+def _line_circle(px: float, py: float, dx: float, dy: float,
+                 cx: float, cy: float, radius: float) -> list:
+    """Parameters t with |(px, py) + t*(dx, dy) - (cx, cy)| = radius; the
+    direction need not be a unit."""
+    fx = px - cx
+    fy = py - cy
+    aa = dx * dx + dy * dy
+    bb = 2.0 * (fx * dx + fy * dy)
+    cc = fx * fx + fy * fy - radius * radius
     disc = bb * bb - 4.0 * aa * cc
     if disc < 0.0:
         return []
@@ -604,51 +593,30 @@ def _line_circle(p0: Vec2, d: Vec2, center: Vec2, radius: float) -> list:
     return [(-bb - root) / (2.0 * aa), (-bb + root) / (2.0 * aa)]
 
 
-def _circle_circle(c1: Vec2, r1: float, c2: Vec2, r2: float) -> list:
-    d = c2 - c1
-    dist = d.norm()
+def _circle_circle(ax: float, ay: float, ra: float,
+                   bx: float, by: float, rb: float) -> list:
+    """Points (x, y) where two circles meet: one where they touch, none
+    where they miss or share a centre."""
+    dx = bx - ax
+    dy = by - ay
+    dist = math.hypot(dx, dy)
     if dist == 0.0:
         return []
-    a = (r1 * r1 - r2 * r2 + dist * dist) / (2.0 * dist)
-    h2 = r1 * r1 - a * a
+    m = (ra * ra - rb * rb + dist * dist) / (2.0 * dist)
+    h2 = ra * ra - m * m
     if h2 < 0.0:
         return []
-    u = d * (1.0 / dist)
-    mid = c1 + u * a
-    h = math.sqrt(max(h2, 0.0))
+    k = 1.0 / dist
+    ux = dx * k
+    uy = dy * k
+    mx = ax + ux * m
+    my = ay + uy * m
+    h = math.sqrt(h2)
     if h == 0.0:
-        return [mid]
-    off = u.perp() * h
-    return [mid + off, mid - off]
-
-
-def _segment_foot(px: float, py: float, row: tuple) -> tuple:
-    """(d, x, y): the distance from (px, py) to a segment row and the
-    nearest point, the foot of the clamped projection."""
-    sx, sy, _, _, dx, dy, dd = row
-    if dd == 0.0:
-        return math.hypot(px - sx, py - sy), sx, sy
-    t = ((px - sx) * dx + (py - sy) * dy) / dd
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    fx = sx + dx * t
-    fy = sy + dy * t
-    return math.hypot(px - fx, py - fy), fx, fy
-
-
-def _arc_foot(px: float, py: float, row: tuple) -> tuple:
-    """(d, x, y): the distance from (px, py) to an arc row and the nearest
-    point, radial where _on_arc holds for the direction from the centre,
-    else the nearer end, the start on a tie."""
-    sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
-    vx = px - cx
-    vy = py - cy
-    r = math.hypot(vx, vy)
-    if r > 1e-300 and _on_arc(math.atan2(vy, vx), a0, ccw, sweep):
-        k = 1.0 / r
-        return abs(r - radius), cx + vx * k * radius, cy + vy * k * radius
-    d0 = math.hypot(px - sx, py - sy)
-    d1 = math.hypot(px - ex, py - ey)
-    return (d0, sx, sy) if d0 <= d1 else (d1, ex, ey)
+        return [(mx, my)]
+    ox = -uy * h
+    oy = ux * h
+    return [(mx + ox, my + oy), (mx - ox, my - oy)]
 
 
 def _nearest(cands: list) -> tuple:
@@ -672,10 +640,10 @@ def _segment_segment(ra: tuple, rb: tuple) -> tuple:
             return 0.0, x, x
     cands = []
     for px, py in ((ax, ay), (ex, ey)):
-        d, qx, qy = _segment_foot(px, py, rb)
+        d, _, qx, qy = _segment_foot(px, py, rb)
         cands.append((d, px, py, qx, qy))
     for px, py in ((bx, by), (fx, fy)):
-        d, qx, qy = _segment_foot(px, py, ra)
+        d, _, qx, qy = _segment_foot(px, py, ra)
         cands.append((d, qx, qy, px, py))
     return _nearest(cands)
 
@@ -684,28 +652,20 @@ def _arc_segment(ra: tuple, rb: tuple) -> tuple:
     """(d, point on the arc, point on the segment)."""
     asx, asy, aex, aey, cx, cy, radius, ccw, a0, sweep = ra
     sx, sy, ex, ey, dx, dy, dd = rb
-    # _line_circle(segment start, segment vector, centre, radius)
-    fx = sx - cx
-    fy = sy - cy
-    bb = 2.0 * (fx * dx + fy * dy)
-    cc = fx * fx + fy * fy - radius * radius
-    disc = bb * bb - 4.0 * dd * cc
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        for t in ((-bb - root) / (2.0 * dd), (-bb + root) / (2.0 * dd)):
-            if -1e-12 <= t <= 1.0 + 1e-12:
-                t = min(max(t, 0.0), 1.0)
-                x = sx + dx * t
-                y = sy + dy * t
-                if _on_arc(math.atan2(y - cy, x - cx), a0, ccw, sweep):
-                    pt = Vec2(x, y)
-                    return 0.0, pt, pt
+    for t in _line_circle(sx, sy, dx, dy, cx, cy, radius):
+        if -1e-12 <= t <= 1.0 + 1e-12:
+            t = min(max(t, 0.0), 1.0)
+            x = sx + dx * t
+            y = sy + dy * t
+            if _on_arc(math.atan2(y - cy, x - cx), a0, ccw, sweep):
+                pt = Vec2(x, y)
+                return 0.0, pt, pt
     cands = []
     for px, py in ((sx, sy), (ex, ey)):
-        d, qx, qy = _arc_foot(px, py, ra)
+        d, _, qx, qy = _arc_foot(px, py, ra)
         cands.append((d, qx, qy, px, py))
     for px, py in ((asx, asy), (aex, aey)):
-        d, qx, qy = _segment_foot(px, py, rb)
+        d, _, qx, qy = _segment_foot(px, py, rb)
         cands.append((d, px, py, qx, qy))
     # the foot of the centre on the segment, projected radially onto the arc
     t = ((cx - sx) * dx + (cy - sy) * dy) / dd
@@ -728,38 +688,21 @@ def _arc_arc(ra: tuple, rb: tuple) -> tuple:
     asx, asy, aex, aey, acx, acy, ar, accw, a0, asw = ra
     bsx, bsy, bex, bey, bcx, bcy, br, bccw, b0, bsw = rb
     atan2 = math.atan2
+    for x, y in _circle_circle(acx, acy, ar, bcx, bcy, br):
+        if _on_arc(atan2(y - acy, x - acx), a0, accw, asw) and \
+           _on_arc(atan2(y - bcy, x - bcx), b0, bccw, bsw):
+            pt = Vec2(x, y)
+            return 0.0, pt, pt
+    cands = []
+    for px, py in ((asx, asy), (aex, aey)):
+        d, _, qx, qy = _arc_foot(px, py, rb)
+        cands.append((d, px, py, qx, qy))
+    for px, py in ((bsx, bsy), (bex, bey)):
+        d, _, qx, qy = _arc_foot(px, py, ra)
+        cands.append((d, qx, qy, px, py))
     dx = bcx - acx
     dy = bcy - acy
     dist = math.hypot(dx, dy)
-    # _circle_circle(a's circle, b's circle)
-    if dist != 0.0:
-        m = (ar * ar - br * br + dist * dist) / (2.0 * dist)
-        h2 = ar * ar - m * m
-        if h2 >= 0.0:
-            k = 1.0 / dist
-            ux = dx * k
-            uy = dy * k
-            mx = acx + ux * m
-            my = acy + uy * m
-            h = math.sqrt(max(h2, 0.0))
-            if h == 0.0:
-                crossings = ((mx, my),)
-            else:
-                ox = -uy * h
-                oy = ux * h
-                crossings = ((mx + ox, my + oy), (mx - ox, my - oy))
-            for x, y in crossings:
-                if _on_arc(atan2(y - acy, x - acx), a0, accw, asw) and \
-                   _on_arc(atan2(y - bcy, x - bcx), b0, bccw, bsw):
-                    pt = Vec2(x, y)
-                    return 0.0, pt, pt
-    cands = []
-    for px, py in ((asx, asy), (aex, aey)):
-        d, qx, qy = _arc_foot(px, py, rb)
-        cands.append((d, px, py, qx, qy))
-    for px, py in ((bsx, bsy), (bex, bey)):
-        d, qx, qy = _arc_foot(px, py, ra)
-        cands.append((d, qx, qy, px, py))
     if dist > 1e-12 * (ar + br):
         # the points of both circles on the line of centres
         k = 1.0 / dist
@@ -837,7 +780,7 @@ def assert_simple(p: ArcPolygon, tol: Optional[float] = None) -> None:
     pieces = p.pieces
     n = len(pieces)
     short = [q.length <= tol for q in pieces]
-    boxes, nodes = _piece_tree(p)
+    _, boxes, nodes = _piece_index(p)
     for i in range(n):
         # the first long piece after i, and before i (a negative index
         # wraps round the loop); the pieces up to them are adjacent to i
@@ -865,7 +808,7 @@ def assert_simple(p: ArcPolygon, tol: Optional[float] = None) -> None:
 def junction_turns(p: ArcPolygon) -> tuple:
     """Signed tangent turn at every junction (piece i end to piece i+1 start).
 
-    Computed once per loop and filled like _flat_pieces.
+    Computed once per loop and filled like _piece_index.
     """
     turns = p._turns
     if turns is None:
@@ -903,7 +846,7 @@ def reach_lower_bound(p: ArcPolygon) -> float:
     best = min(concave_radii)
     pieces = p.pieces
     n = len(pieces)
-    boxes, nodes = _piece_tree(p)
+    _, boxes, nodes = _piece_index(p)
     for i in range(n):
         # best only falls, so the pieces near i at 2 * best now include
         # every j the exact box test below lets through

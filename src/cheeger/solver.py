@@ -54,7 +54,10 @@ def _chain_line_crossings(chain, anchor: Vec2, normal: Vec2, offset: float
                           ) -> List[float]:
     """Spine parameters where a level chain crosses {(x-anchor).normal = offset}."""
     ts: List[float] = []
-    target = anchor + offset * normal
+    # a point of the line and its direction
+    tx = anchor.x + normal.x * offset
+    ty = anchor.y + normal.y * offset
+    dx, dy = -normal.y, normal.x
     for piece, t0, t1 in chain:
         if isinstance(piece, Segment):
             f0 = (piece.start - anchor).dot(normal) - offset
@@ -65,15 +68,14 @@ def _chain_line_crossings(chain, anchor: Vec2, normal: Vec2, offset: float
             if -1e-9 <= u <= 1.0 + 1e-9:
                 ts.append(t0 + min(max(u, 0.0), 1.0) * (t1 - t0))
         else:
-            for lam in geom._line_circle(target, normal.perp(),
-                                         piece.center, piece.radius):
-                pt = target + normal.perp() * lam
-                phi = (pt - piece.center).angle()
-                off = piece.angle_offset(phi)
-                if off <= piece.sweep + 1e-9:
+            cx, cy = piece.center.x, piece.center.y
+            for lam in geom._line_circle(tx, ty, dx, dy, cx, cy, piece.radius):
+                off = piece.angle_offset(
+                    math.atan2(ty + dy * lam - cy, tx + dx * lam - cx))
+                if off <= piece.sweep + geom.ARC_END_SLACK:
                     u = min(off / piece.sweep, 1.0)
                     ts.append(t0 + u * (t1 - t0))
-                elif off >= geom.TAU - 1e-9:
+                elif off >= geom.TAU - geom.ARC_END_SLACK:
                     ts.append(t0)
     return ts
 

@@ -19,8 +19,6 @@ from .errors import (BallNotContained, DomainError, InvalidGeometry,
 from .geom import Arc, ArcPolygon, BoundaryPiece, Segment, Vec2, unit_from_angle
 from .roots import bisect
 
-PATH_CLEARANCE_SAMPLES = 1000
-
 
 @dataclass(frozen=True)
 class SpinePiece:
@@ -406,25 +404,3 @@ def ball_to_ball_path(st: Strip, r: float, x0: Vec2, x1: Vec2
         chain1 = level_chain(st.spine, rho1)
         pieces += chain_pieces(chain1, tb, t1)
     return pieces
-
-
-def path_points(pieces: Sequence[BoundaryPiece], n: int = PATH_CLEARANCE_SAMPLES
-                ) -> List[Vec2]:
-    """n points spread along a piecewise path, proportionally to length."""
-    if not pieces:
-        return []
-    total = sum(p.length for p in pieces)
-    pts: List[Vec2] = []
-    for piece in pieces:
-        m = max(2, int(round(n * piece.length / total)))
-        for k in range(m + 1):
-            pts.append(piece.point_at(k / m))
-    return pts
-
-
-def path_max_curvature(pieces: Sequence[BoundaryPiece]) -> float:
-    out = 0.0
-    for p in pieces:
-        if isinstance(p, Arc):
-            out = max(out, 1.0 / p.radius)
-    return out

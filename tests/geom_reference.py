@@ -1,11 +1,13 @@
 """Reference versions of the geom kernel, kept for the tests to compare with.
 
 These are the straightforward per-piece queries written with `Vec2`
-operations: the point/piece distances, the segment/segment intersection,
-the piece/piece distance with its realising points, and the distance plus
+operations: the point/piece distances, a piece's bounding box, the
+line/circle, circle/circle and segment/segment intersections, the
+piece/piece distance with its realising points, and the distance plus
 winding number of a point.  The library computes the same expressions on
-plain floats (`geom.piece_distance`, `geom.distance_to_boundary`); the
-tests require the results to agree bit for bit.
+plain floats (`geom.piece_distance`, `geom.distance_to_boundary`,
+`Arc.bbox`); the tests require the results to agree bit for bit.  Nothing
+here calls the float primitives it is compared with.
 """
 from __future__ import annotations
 
@@ -50,6 +52,51 @@ def point_to_piece(x: Vec2, piece) -> tuple:
     return point_to_arc(x, piece)
 
 
+def piece_box(piece) -> tuple:
+    """(x0, y0, x1, y1): the ends and, for an arc, each axis-extreme point
+    of its circle that lies on it."""
+    xs = [piece.start.x, piece.end.x]
+    ys = [piece.start.y, piece.end.y]
+    if isinstance(piece, Arc):
+        for phi in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
+            if piece.contains_angle(phi):
+                p = piece.center + piece.radius * geom.unit_from_angle(phi)
+                xs.append(p.x)
+                ys.append(p.y)
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def line_circle(p0: Vec2, d: Vec2, center: Vec2, radius: float) -> list:
+    """Parameters t with |p0 + t*d - center| = radius (d need not be unit)."""
+    f = p0 - center
+    aa = d.dot(d)
+    bb = 2.0 * f.dot(d)
+    cc = f.dot(f) - radius * radius
+    disc = bb * bb - 4.0 * aa * cc
+    if disc < 0.0:
+        return []
+    root = math.sqrt(disc)
+    return [(-bb - root) / (2.0 * aa), (-bb + root) / (2.0 * aa)]
+
+
+def circle_circle(c1: Vec2, r1: float, c2: Vec2, r2: float) -> list:
+    d = c2 - c1
+    dist = d.norm()
+    if dist == 0.0:
+        return []
+    a = (r1 * r1 - r2 * r2 + dist * dist) / (2.0 * dist)
+    h2 = r1 * r1 - a * a
+    if h2 < 0.0:
+        return []
+    u = d * (1.0 / dist)
+    mid = c1 + u * a
+    h = math.sqrt(max(h2, 0.0))
+    if h == 0.0:
+        return [mid]
+    off = u.perp() * h
+    return [mid + off, mid - off]
+
+
 def segment_intersection(a: Segment, b: Segment) -> Optional[Vec2]:
     p, r = a.start, a.end - a.start
     q, s = b.start, b.end - b.start
@@ -83,7 +130,7 @@ def piece_distance(a, b) -> tuple:
     if isinstance(b, Segment):
         seg, arc = b, a
         dvec = seg.end - seg.start
-        for t in geom._line_circle(seg.start, dvec, arc.center, arc.radius):
+        for t in line_circle(seg.start, dvec, arc.center, arc.radius):
             if -1e-12 <= t <= 1.0 + 1e-12:
                 pt = seg.point_at(min(max(t, 0.0), 1.0))
                 if arc.contains_angle((pt - arc.center).angle()):
@@ -106,7 +153,7 @@ def piece_distance(a, b) -> tuple:
         best = min(cands, key=lambda c: c[0])
         return best[0], best[1], best[2]
     # arc/arc
-    for x in geom._circle_circle(a.center, a.radius, b.center, b.radius):
+    for x in circle_circle(a.center, a.radius, b.center, b.radius):
         if a.contains_angle((x - a.center).angle()) and \
            b.contains_angle((x - b.center).angle()):
             return 0.0, x, x
@@ -151,7 +198,7 @@ def nearest_and_winding(p: ArcPolygon, x: Vec2) -> tuple:
     wrap = tau - 1e-9
     best = math.inf
     total = 0.0
-    for is_arc, row in geom._flat_pieces(p):
+    for is_arc, row in map(geom._piece_row, p.pieces):
         if is_arc:
             sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = row
             vx = px - cx

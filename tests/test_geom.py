@@ -63,6 +63,15 @@ def test_open_loop_rejected():
                     Segment(Vec2(1, 0.5), Vec2(0, 0))])
 
 
+# squares whose area or perimeter overflows: nan area at 1e308, inf area at
+# 1e160, and at 1e200 an inf area that the zero-area test misreads
+@pytest.mark.parametrize("c", [1e308, 1e160, 1e200])
+def test_loop_with_overflowing_measures_rejected(c):
+    with pytest.raises(InvalidGeometry, match="overflow"):
+        geom.polygon_from_points(
+            [Vec2(-c, -c), Vec2(c, -c), Vec2(c, c), Vec2(-c, c)])
+
+
 def test_arc_endpoint_validation():
     with pytest.raises(InvalidGeometry):
         Arc(Vec2(1, 0), Vec2(0, 1.5), Vec2(0, 0), 1.0, True, 0.5 * math.pi)
@@ -467,10 +476,13 @@ def test_indexed_distance_signs_at_junctions(shift):
 
 
 def test_tree_boxes_are_piece_boxes():
-    # the exact box test of the pair scans reads these boxes
+    # the exact box test of the pair scans reads these boxes; compare them
+    # bit for bit with the Vec2 reference box
     for shape in _indexed_shapes() + (verify.stadium(2, 1),):
-        boxes, _ = geom._piece_tree(shape)
-        assert boxes == tuple(q.bbox() for q in shape.pieces)
+        _, boxes, _ = geom._piece_index(shape)
+        expected = tuple(reference.piece_box(q) for q in shape.pieces)
+        assert [[float(v).hex() for v in b] for b in boxes] == \
+            [[float(v).hex() for v in b] for b in expected]
 
 
 def _all_pairs_reach_bound(p):
