@@ -4,8 +4,12 @@ For a bounded convex plane region the Cheeger set is the union of all balls
 of radius r = 1/h contained in it, obtained as the outward offset of the
 inner parallel body at the unique depth where that body's area equals
 pi*r^2.  Inner parallel bodies are built by direct inward offsetting with
-vertex clipping; edges that collapse are dropped and their neighbours
-re-intersected, so the area is exact (piecewise quadratic in r).
+vertex clipping, so the area is exact (piecewise quadratic in r).  Pieces
+that collapse are dropped one at a time: at the first pair of neighbours
+whose offsets do not meet, the one with the shorter original piece (the
+first on a tie); otherwise the first piece of least span, when that span
+is within 1e-12 of the diameter.  Each drop re-intersects only the two
+neighbours it leaves adjacent, not the whole loop.
 """
 from __future__ import annotations
 
@@ -105,8 +109,41 @@ def _support_vertex(a: _Support, b: _Support, hint: Vec2) -> Optional[Vec2]:
     return min(pts, key=lambda q: q.distance(hint))
 
 
+def _junction(supports: List[_Support], i: int) -> Optional[Vec2]:
+    """Vertex where support i meets the next one, or None if they miss."""
+    a = supports[i]
+    b = supports[(i + 1) % len(supports)]
+    return _support_vertex(a, b, (a.hint_end + b.hint_start) * 0.5)
+
+
+def _span(s: _Support, v_prev: Optional[Vec2],
+          v_next: Optional[Vec2]) -> Optional[float]:
+    """Length of a line support, or sweep of an arc support, between its two
+    vertices; None while either vertex is missing."""
+    if v_prev is None or v_next is None:
+        return None
+    if s.is_line:
+        return (v_next - v_prev).dot(s.direction)
+    a0 = (v_prev - s.center).angle()
+    a1 = (v_next - s.center).angle()
+    span = (a1 - a0) % geom.TAU
+    if span > s.orig_sweep + 0.5:
+        return -1.0  # flipped past its original span
+    return span
+
+
 def inner_parallel_body(c: ConvexRegion, r: float) -> ConvexRegion:
-    """Points of the region at distance at least r from its boundary."""
+    """Points of the region at distance at least r from its boundary.
+
+    Each boundary piece is offset inward by r and joined to its neighbours
+    at their crossings.  Supports are then dropped one at a time until
+    every junction exists and every span exceeds a 1e-12 * diameter
+    tolerance: the first missing junction in loop order drops the support
+    of the shorter original piece of its pair (the first on a tie);
+    otherwise the first least span drops if it is within the tolerance.
+    A drop re-intersects only the two neighbours it leaves adjacent and
+    recomputes their spans, so the whole collapse costs O(n) crossings.
+    """
     if r < 0.0:
         raise InvalidGeometry("depth must be nonnegative")
     if r == 0.0:
@@ -119,63 +156,49 @@ def inner_parallel_body(c: ConvexRegion, r: float) -> ConvexRegion:
         if not s.is_line and s.radius <= tol:
             continue  # arc swallowed by the offset
         supports.append(s)
+    n = len(supports)
+    if n < 2:
+        raise EmptyInnerSet(f"inner parallel body empty at depth {r}")
+    # vertices[i] joins supports i and i + 1; spans[i] lies between
+    # vertices i - 1 and i
+    vertices = [_junction(supports, i) for i in range(n)]
+    spans = [_span(supports[i], vertices[i - 1], vertices[i])
+             for i in range(n)]
     while True:
-        n = len(supports)
+        if None in vertices:
+            i = vertices.index(None)
+            j = (i + 1) % n
+            k = i if supports[i].orig_length <= supports[j].orig_length else j
+        else:
+            # starting from inf, a NaN span is never the least
+            worst = min(math.inf, *spans)
+            if worst > tol:
+                break
+            k = spans.index(worst)
+        del supports[k], vertices[k], spans[k]
+        n -= 1
         if n < 2:
             raise EmptyInnerSet(f"inner parallel body empty at depth {r}")
-        vertices: List[Optional[Vec2]] = []
-        failed = -1
-        for i in range(n):
-            j = (i + 1) % n
-            hint = (supports[i].hint_end + supports[j].hint_start) * 0.5
-            v = _support_vertex(supports[i], supports[j], hint)
-            if v is None:
-                failed = i
-                break
-            vertices.append(v)
-        if failed >= 0:
-            j = (failed + 1) % n
-            drop = failed if supports[failed].orig_length <= \
-                supports[j].orig_length else j
-            del supports[drop]
-            continue
-        worst = -1
-        worst_span = math.inf
-        spans: List[float] = []
-        for i in range(n):
-            v_prev = vertices[(i - 1) % n]
-            v_next = vertices[i]
-            s = supports[i]
-            if s.is_line:
-                span = (v_next - v_prev).dot(s.direction)
-            else:
-                a0 = (v_prev - s.center).angle()
-                a1 = (v_next - s.center).angle()
-                span = (a1 - a0) % geom.TAU
-                if span > s.orig_sweep + 0.5:
-                    span = -1.0  # flipped past its original span
-            spans.append(span)
-            if span < worst_span:
-                worst_span = span
-                worst = i
-        if worst_span <= tol:
-            del supports[worst]
-            continue
-        pieces: List = []
-        for i in range(n):
-            v_prev = vertices[(i - 1) % n]
-            v_next = vertices[i]
-            s = supports[i]
-            if s.is_line:
-                pieces.append(Segment(v_prev, v_next))
-            else:
-                a0 = (v_prev - s.center).angle()
-                pieces.append(Arc.from_angles(s.center, s.radius, a0, spans[i]))
-        try:
-            return ConvexRegion(ArcPolygon(pieces))
-        except InvalidGeometry as exc:
-            raise EmptyInnerSet(
-                f"inner parallel body degenerates at depth {r}: {exc}") from exc
+        p = (k - 1) % n  # the neighbours k - 1 and k + 1, now p and p + 1
+        q = k % n
+        vertices[p] = _junction(supports, p)
+        spans[p] = _span(supports[p], vertices[p - 1], vertices[p])
+        spans[q] = _span(supports[q], vertices[p], vertices[q])
+    pieces: List = []
+    for i in range(n):
+        v_prev = vertices[i - 1]
+        v_next = vertices[i]
+        s = supports[i]
+        if s.is_line:
+            pieces.append(Segment(v_prev, v_next))
+        else:
+            a0 = (v_prev - s.center).angle()
+            pieces.append(Arc.from_angles(s.center, s.radius, a0, spans[i]))
+    try:
+        return ConvexRegion(ArcPolygon(pieces))
+    except InvalidGeometry as exc:
+        raise EmptyInnerSet(
+            f"inner parallel body degenerates at depth {r}: {exc}") from exc
 
 
 def inradius(c: ConvexRegion) -> float:

@@ -649,10 +649,13 @@ def _segment_segment(ra: tuple, rb: tuple) -> tuple:
 
 
 def _arc_segment(ra: tuple, rb: tuple) -> tuple:
-    """(d, point on the arc, point on the segment)."""
+    """(d, point on the arc, point on the segment).  A segment whose squared
+    length underflows to 0 is a point: only the end candidates remain."""
     asx, asy, aex, aey, cx, cy, radius, ccw, a0, sweep = ra
     sx, sy, ex, ey, dx, dy, dd = rb
-    for t in _line_circle(sx, sy, dx, dy, cx, cy, radius):
+    crossings = _line_circle(sx, sy, dx, dy, cx, cy, radius) \
+        if dd != 0.0 else []
+    for t in crossings:
         if -1e-12 <= t <= 1.0 + 1e-12:
             t = min(max(t, 0.0), 1.0)
             x = sx + dx * t
@@ -668,7 +671,7 @@ def _arc_segment(ra: tuple, rb: tuple) -> tuple:
         d, _, qx, qy = _segment_foot(px, py, rb)
         cands.append((d, px, py, qx, qy))
     # the foot of the centre on the segment, projected radially onto the arc
-    t = ((cx - sx) * dx + (cy - sy) * dy) / dd
+    t = ((cx - sx) * dx + (cy - sy) * dy) / dd if dd != 0.0 else 0.0
     if 0.0 < t < 1.0:
         fx = sx + dx * t
         fy = sy + dy * t

@@ -8,13 +8,19 @@ winding number of a point.  The library computes the same expressions on
 plain floats (`geom.piece_distance`, `geom.distance_to_boundary`,
 `Arc.bbox`); the tests require the results to agree bit for bit.  Nothing
 here calls the float primitives it is compared with.
+
+The inner parallel body of a convex region is kept here as the loop that
+rebuilds every junction after each collapsed support, which
+`convex.inner_parallel_body` must match bit for bit.
 """
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional
 
 from cheeger import geom
+from cheeger.convex import ConvexRegion, _Support, _support_vertex
+from cheeger.errors import EmptyInnerSet, InvalidGeometry
 from cheeger.geom import TAU, Arc, ArcPolygon, Segment, Vec2
 
 
@@ -130,7 +136,11 @@ def piece_distance(a, b) -> tuple:
     if isinstance(b, Segment):
         seg, arc = b, a
         dvec = seg.end - seg.start
-        for t in line_circle(seg.start, dvec, arc.center, arc.radius):
+        dd = dvec.dot(dvec)
+        # a segment whose squared length underflows to 0 is a point
+        crossings = line_circle(seg.start, dvec, arc.center, arc.radius) \
+            if dd != 0.0 else []
+        for t in crossings:
             if -1e-12 <= t <= 1.0 + 1e-12:
                 pt = seg.point_at(min(max(t, 0.0), 1.0))
                 if arc.contains_angle((pt - arc.center).angle()):
@@ -142,7 +152,7 @@ def piece_distance(a, b) -> tuple:
         for pt in (arc.start, arc.end):
             d, q = point_to_segment(pt, seg)
             cands.append((d, pt, q))
-        t = (arc.center - seg.start).dot(dvec) / dvec.dot(dvec)
+        t = (arc.center - seg.start).dot(dvec) / dd if dd != 0.0 else 0.0
         if 0.0 < t < 1.0:
             foot = seg.point_at(t)
             v = foot - arc.center
@@ -234,3 +244,81 @@ def nearest_and_winding(p: ArcPolygon, x: Vec2) -> tuple:
             w = w % tau if ccw else -(-w % tau)
         total += w
     return best, total / tau
+
+
+def inner_parallel_body(c: ConvexRegion, r: float) -> ConvexRegion:
+    """The inner parallel body rebuilt from scratch after every drop: all
+    junctions and all spans are recomputed each time a support collapses,
+    so it makes O(n^2) crossings where convex.inner_parallel_body makes
+    O(n).  Both share the offset supports and their crossings
+    (convex._Support, convex._support_vertex); the tests compare the
+    drop loops."""
+    if r < 0.0:
+        raise InvalidGeometry("depth must be nonnegative")
+    if r == 0.0:
+        return c
+    scale = max(c.region.diameter, 1.0)
+    tol = 1e-12 * scale
+    supports: List[_Support] = []
+    for piece in c.region.pieces:
+        s = _Support(piece, r)
+        if not s.is_line and s.radius <= tol:
+            continue  # arc swallowed by the offset
+        supports.append(s)
+    while True:
+        n = len(supports)
+        if n < 2:
+            raise EmptyInnerSet(f"inner parallel body empty at depth {r}")
+        vertices: List[Optional[Vec2]] = []
+        failed = -1
+        for i in range(n):
+            j = (i + 1) % n
+            hint = (supports[i].hint_end + supports[j].hint_start) * 0.5
+            v = _support_vertex(supports[i], supports[j], hint)
+            if v is None:
+                failed = i
+                break
+            vertices.append(v)
+        if failed >= 0:
+            j = (failed + 1) % n
+            drop = failed if supports[failed].orig_length <= \
+                supports[j].orig_length else j
+            del supports[drop]
+            continue
+        worst = -1
+        worst_span = math.inf
+        spans: List[float] = []
+        for i in range(n):
+            v_prev = vertices[(i - 1) % n]
+            v_next = vertices[i]
+            s = supports[i]
+            if s.is_line:
+                span = (v_next - v_prev).dot(s.direction)
+            else:
+                a0 = (v_prev - s.center).angle()
+                a1 = (v_next - s.center).angle()
+                span = (a1 - a0) % geom.TAU
+                if span > s.orig_sweep + 0.5:
+                    span = -1.0  # flipped past its original span
+            spans.append(span)
+            if span < worst_span:
+                worst_span = span
+                worst = i
+        if worst_span <= tol:
+            del supports[worst]
+            continue
+        pieces: List = []
+        for i in range(n):
+            v_prev = vertices[(i - 1) % n]
+            v_next = vertices[i]
+            s = supports[i]
+            if s.is_line:
+                pieces.append(Segment(v_prev, v_next))
+            else:
+                a0 = (v_prev - s.center).angle()
+                pieces.append(Arc.from_angles(s.center, s.radius, a0, spans[i]))
+        try:
+            return ConvexRegion(ArcPolygon(pieces))
+        except InvalidGeometry as exc:
+            raise EmptyInnerSet(
+                f"inner parallel body degenerates at depth {r}: {exc}") from exc

@@ -1,11 +1,14 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import geom_reference as reference
 from cheeger import convex, geom, solver, verify
-from cheeger.errors import EmptyInnerSet, InvalidGeometry, PropertyViolation
+from cheeger.errors import (CheegerError, EmptyInnerSet, InvalidGeometry,
+                            PropertyViolation)
 from cheeger.geom import Arc, ArcPolygon, Segment, Vec2
 
 SQRT_PI = math.sqrt(math.pi)
@@ -302,3 +305,98 @@ def test_tangential_polygon_matches_closed_form(weights, log_rho, turn, cx, cy):
     sol = convex.solve_convex(convex.convex_from_points(verts))
     assert sol.h == pytest.approx(h, rel=1e-12)
     assert sol.iterations <= 12
+
+
+def jittered_ngon(rng, n):
+    """n points on a circle at angles jittered by up to a quarter step."""
+    rot = rng.uniform(0.0, 2.0 * math.pi)
+    step = 2.0 * math.pi / n
+    return convex.convex_from_points(
+        [geom.unit_from_angle(rot + step * (k + rng.uniform(-0.25, 0.25)))
+         for k in range(n)])
+
+
+def tangential_region(weights, turn):
+    """Polygon circumscribed about the unit circle, one edge per weight."""
+    verts, normal = [], turn
+    for w in weights:
+        gap = 2.0 * math.pi * w / sum(weights)
+        verts.append(geom.unit_from_angle(normal + 0.5 * gap)
+                     * (1.0 / math.cos(0.5 * gap)))
+        normal += gap
+    return convex.convex_from_points(verts)
+
+
+# jittered n-gons and tangential polygons drop their shortest spans;
+# stadiums, filleted polygons and lenses also swallow arcs and lose junctions
+REGION_FAMILIES = ("ngon", "tangential", "stadium", "fillet", "lens")
+
+
+@hst.composite
+def convex_regions(draw, family):
+    if family == "ngon":
+        return jittered_ngon(draw(hst.randoms(use_true_random=False)),
+                             draw(hst.integers(min_value=3, max_value=64)))
+    if family == "tangential":
+        weights = draw(hst.lists(hst.floats(min_value=1.0, max_value=1.9),
+                                 min_size=3, max_size=12))
+        return tangential_region(weights, draw(hst.floats(0.0, 2.0 * math.pi)))
+    if family == "stadium":
+        return convex.ConvexRegion(verify.stadium(
+            draw(hst.floats(0.1, 3.0)), draw(hst.floats(0.2, 2.0))))
+    if family == "fillet":
+        region, _ = filleted_regular(draw(hst.integers(3, 8)),
+                                     draw(hst.floats(0.05, 0.95)))
+        return convex.ConvexRegion(region)
+    radius = draw(hst.floats(0.5, 2.0))
+    return convex.ConvexRegion(
+        lens(radius, radius * draw(hst.floats(0.2, 1.8)), Vec2(0.3, -0.2)))
+
+
+def body_bits(build, c, r):
+    """Every float of the inner body in float.hex, or the error it raised."""
+    try:
+        body = build(c, r)
+    except CheegerError as exc:
+        return type(exc), str(exc)
+    bits = [body.area.hex(), body.perimeter.hex()]
+    for piece in body.region.pieces:
+        points = [piece.start, piece.end]
+        if isinstance(piece, Arc):
+            points.append(piece.center)
+            bits += [piece.radius.hex(), piece.sweep.hex()]
+        bits.append(type(piece).__name__)
+        bits += [v.hex() for p in points for v in (p.x, p.y)]
+    return bits
+
+
+@pytest.mark.parametrize("family", REGION_FAMILIES)
+@given(data=hst.data())
+@settings(max_examples=40, deadline=None)
+def test_inner_body_matches_rebuilding_reference(family, data):
+    # depths up to just past sqrt(A/pi), the root bracket's upper end,
+    # where the body empties one support at a time
+    c = data.draw(convex_regions(family))
+    r = data.draw(hst.floats(min_value=0.0, max_value=1.01)) \
+        * math.sqrt(c.area / math.pi)
+    assert body_bits(convex.inner_parallel_body, c, r) == \
+        body_bits(reference.inner_parallel_body, c, r)
+
+
+def test_emptying_inner_body_makes_linear_crossings(monkeypatch):
+    # past the inradius every support drops in turn; re-intersecting only
+    # the neighbours of each drop keeps the crossings linear in n (the
+    # loop that rebuilds all junctions after each drop makes about n^2/2)
+    n = 256
+    c = jittered_ngon(random.Random(0), n)
+    calls = []
+    crossing = convex._support_vertex
+
+    def counted(*args):
+        calls.append(args)
+        return crossing(*args)
+
+    monkeypatch.setattr(convex, "_support_vertex", counted)
+    with pytest.raises(EmptyInnerSet):
+        convex.inner_parallel_body(c, math.sqrt(c.area / math.pi))
+    assert len(calls) <= 3 * n

@@ -656,6 +656,7 @@ def test_piece_distance_matches_reference_on_strip_pairs():
 
 HALF_CIRCLE = Arc(Vec2(1.0, 0.0), Vec2(-1.0, 0.0), Vec2(0.0, 0.0), 1.0, True,
                   math.pi)
+_SHORT_ARC = Arc.from_angles(Vec2(-1.0, 0.0), 1.0, -0.5, 1.0)
 
 
 @pytest.mark.parametrize("a, b, d", [
@@ -666,7 +667,11 @@ HALF_CIRCLE = Arc(Vec2(1.0, 0.0), Vec2(-1.0, 0.0), Vec2(0.0, 0.0), 1.0, True,
      Segment(Vec2(0.5, 1e-13), Vec2(0.5, 1.0)), 0.0),
     (Segment(Vec2(0.0, 0.0), Vec2(1.0 - 1e-13, 0.0)),
      Arc.from_angles(Vec2(2.0, 0.0), 1.0, 0.5 * math.pi, math.pi), 0.0),
-], ids=["tie", "segment-stops-short", "circle-stops-short"])
+    # a segment whose squared length underflows to 0 is met as a point
+    (_SHORT_ARC, Segment(Vec2(0.0, 0.0), Vec2(1e-170, 0.0)), 0.0),
+    (_SHORT_ARC, Segment(Vec2(0.5, 0.0), Vec2(0.5, 1e-170)), 0.5),
+], ids=["tie", "segment-stops-short", "circle-stops-short",
+        "underflowing-segment-on-arc", "underflowing-segment-off-arc"])
 def test_piece_distance_matches_reference_at_ties_and_near_touches(a, b, d):
     assert geom.piece_distance(a, b)[0] == d
     _assert_kernel_matches_reference(a, b)
