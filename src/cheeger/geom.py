@@ -236,10 +236,11 @@ class Arc:
 
     def bbox(self) -> tuple:
         cx, cy, radius = self.center.x, self.center.y, self.radius
+        a0, ccw, sweep = self.start_angle, self.ccw, self.sweep
         xs = [self.start.x, self.end.x]
         ys = [self.start.y, self.end.y]
         for phi in _QUARTER_TURNS:
-            if self.contains_angle(phi):
+            if _on_arc(phi, a0, ccw, sweep):
                 xs.append(cx + math.cos(phi) * radius)
                 ys.append(cy + math.sin(phi) * radius)
         return (min(xs), min(ys), max(xs), max(ys))

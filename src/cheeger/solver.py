@@ -19,7 +19,7 @@ from . import geom
 from .errors import (DegenerateInnerSet, DomainError, EmptyInnerSet, NoRoot,
                      PropertyViolation)
 from .geom import Arc, ArcPolygon, Segment, Vec2
-from .spine import Strip, chain_pieces, level_chain
+from .spine import Strip, _level_rows, _require_finite, chain_pieces
 
 RESIDUAL_TOL = 1e-10  # largest |f(r)| / (pi*r^2) accepted at the root
 MAX_ITERATIONS = 200
@@ -50,30 +50,34 @@ class CheegerSolution:
 # inner sets of strips
 
 
-def _chain_line_crossings(chain, anchor: Vec2, normal: Vec2, offset: float
+def _chain_line_crossings(rows, anchor: Vec2, normal: Vec2, offset: float
                           ) -> List[float]:
-    """Spine parameters where a level chain crosses {(x-anchor).normal = offset}."""
+    """Spine parameters where the level rows cross {(x-anchor).normal = offset}."""
     ts: List[float] = []
+    ax, ay, nx, ny = anchor.x, anchor.y, normal.x, normal.y
     # a point of the line and its direction
-    tx = anchor.x + normal.x * offset
-    ty = anchor.y + normal.y * offset
-    dx, dy = -normal.y, normal.x
-    for piece, t0, t1 in chain:
-        if isinstance(piece, Segment):
-            f0 = (piece.start - anchor).dot(normal) - offset
-            f1 = (piece.end - anchor).dot(normal) - offset
+    tx = ax + nx * offset
+    ty = ay + ny * offset
+    dx, dy = -ny, nx
+    for is_arc, t0, t1, v in rows:
+        if not is_arc:
+            sx, sy, ex, ey = v
+            f0 = (sx - ax) * nx + (sy - ay) * ny - offset
+            f1 = (ex - ax) * nx + (ey - ay) * ny - offset
+            if not math.isfinite(f0 + f1):
+                _require_finite(sx - ax, sy - ay, ex - ax, ey - ay)
             if f0 == f1:
                 continue
             u = f0 / (f0 - f1)
             if -1e-9 <= u <= 1.0 + 1e-9:
                 ts.append(t0 + min(max(u, 0.0), 1.0) * (t1 - t0))
         else:
-            cx, cy = piece.center.x, piece.center.y
-            for lam in geom._line_circle(tx, ty, dx, dy, cx, cy, piece.radius):
-                off = piece.angle_offset(
-                    math.atan2(ty + dy * lam - cy, tx + dx * lam - cx))
-                if off <= piece.sweep + geom.ARC_END_SLACK:
-                    u = min(off / piece.sweep, 1.0)
+            cx, cy, radius, a, sweep = v[4:]
+            for lam in geom._line_circle(tx, ty, dx, dy, cx, cy, radius):
+                phi = math.atan2(ty + dy * lam - cy, tx + dx * lam - cx)
+                off = (phi - a) % geom.TAU if sweep > 0.0 else (a - phi) % geom.TAU
+                if off <= abs(sweep) + geom.ARC_END_SLACK:
+                    u = min(off / abs(sweep), 1.0)
                     ts.append(t0 + u * (t1 - t0))
                 elif off >= geom.TAU - geom.ARC_END_SLACK:
                     ts.append(t0)
@@ -84,7 +88,9 @@ def inner_set(st: Strip, r: float) -> ArcPolygon:
     """Region of the strip at distance >= r from its boundary.
 
     Bounded by the two parallel curves at levels +-(s-r) and two trim
-    segments parallel to the end segments at depth r.
+    segments parallel to the end segments at depth r.  The parallel curves
+    are float rows (`spine._level_rows`); the trims are found on the rows,
+    and each piece of the set is built once, by `chain_pieces`.
     """
     s = st.halfwidth
     if r >= s:
@@ -93,8 +99,8 @@ def inner_set(st: Strip, r: float) -> ArcPolygon:
         raise DomainError("depth must be positive")
     spine = st.spine
     L = spine.length
-    lo_chain = level_chain(spine, -(s - r))
-    hi_chain = level_chain(spine, s - r)
+    lo_chain = _level_rows(spine, -(s - r))
+    hi_chain = _level_rows(spine, s - r)
     u_left = spine.direction(0.0)
     a_left = spine.point(0.0)
     u_right = -spine.direction(L)
@@ -119,6 +125,9 @@ def inner_set(st: Strip, r: float) -> ArcPolygon:
             f"end trims cross at depth {r} (strip too short)")
     bottom = chain_pieces(lo_chain, tl_lo, tr_lo)
     top = chain_pieces(hi_chain, tl_hi, tr_hi, reverse=True)
+    if not bottom or not top:
+        raise DegenerateInnerSet(
+            f"a trimmed level curve is empty at depth {r} (strip too short)")
     p_br = bottom[-1].end
     p_tr = top[0].start
     p_tl = top[-1].end

@@ -209,55 +209,148 @@ class Strip:
         return build_strip(self.spine.scaled(k), self.halfwidth * k)
 
 
+LevelRow = Tuple[bool, float, float, tuple]
+
+
+def _require_finite(*xy: float) -> None:
+    """Raise what Vec2 raises for the first non-finite (x, y) pair.
+
+    The level rows compute in floats the points that Vec2 operations used
+    to build, and call this only when a cheap sum test finds a non-finite
+    value, so an overflow reports the same coordinates as before."""
+    for i in range(0, len(xy), 2):
+        Vec2(xy[i], xy[i + 1])
+
+
+def _level_rows(spine: Spine, level: float) -> List[LevelRow]:
+    """Parallel curve at signed offset `level`, one float row per spine piece.
+
+    A row is (is_arc, t0, t1, values) and covers the spine interval
+    [t0, t1].  Segment values are (sx, sy, ex, ey); arc values are
+    (sx, sy, ex, ey, cx, cy, radius, start angle, signed sweep), where the
+    start angle is the one the built arc's `start_angle` returns, the
+    direction of its computed start from its centre.  The arithmetic is
+    that of the Vec2 chain `Arc.from_angles` built, in the same order, so
+    the pieces `level_chain` builds from these rows are the same bit for
+    bit.  Every check the skipped Vec2, Segment and Arc constructors made
+    is made here, at the same piece and in the same order, with the same
+    exception type and message.
+    """
+    rows: List[LevelRow] = []
+    for i, piece in enumerate(spine.pieces):
+        t0, p0, theta0 = spine._states[i]
+        length = piece.length
+        t1 = t0 + length
+        ux, uy = math.cos(theta0), math.sin(theta0)
+        lx, ly = -uy * level, ux * level  # level * unit_from_angle(theta0).perp()
+        sx, sy = p0.x + lx, p0.y + ly
+        k = piece.curvature
+        if k == 0.0:
+            ex, ey = sx + ux * length, sy + uy * length
+            if not math.isfinite(sx + sy + ex + ey):
+                _require_finite(lx, ly, sx, sy, ex, ey)
+            if sx == ex and sy == ey:
+                raise InvalidGeometry("zero-length segment")
+            rows.append((False, t0, t1, (sx, sy, ex, ey)))
+            continue
+        if abs(k) * length >= geom.TAU:
+            _require_finite(lx, ly, sx, sy)
+            raise SelfIntersecting(
+                f"spine piece {i} turns by {abs(k) * length:.3f} rad "
+                ">= 2*pi; the strip overlaps itself")
+        inv = 1.0 / k
+        ox, oy = -uy * inv, ux * inv
+        cx, cy = p0.x + ox, p0.y + oy
+        radius = abs(inv - level)
+        if radius <= 1e-12:
+            _require_finite(lx, ly, sx, sy, ox, oy, cx, cy)
+            raise NotADiffeomorphism(
+                f"parallel curve at level {level} collapses on piece {i}")
+        vx, vy = sx - cx, sy - cy
+        a0 = math.atan2(vy, vx)
+        sweep = k * length
+        a1 = a0 + sweep
+        rx0, ry0 = math.cos(a0) * radius, math.sin(a0) * radius
+        rx1, ry1 = math.cos(a1) * radius, math.sin(a1) * radius
+        asx, asy, aex, aey = cx + rx0, cy + ry0, cx + rx1, cy + ry1
+        if not math.isfinite(sx + sy + cx + cy + vx + vy + asx + asy
+                             + aex + aey):
+            _require_finite(lx, ly, sx, sy, ox, oy, cx, cy, vx, vy,
+                            rx0, ry0, asx, asy, rx1, ry1, aex, aey)
+        if sweep == 0.0:
+            raise InvalidGeometry(
+                f"arc sweep must lie in (0, 2*pi), got {abs(sweep)}")
+        tol = 1e-12 * (radius + abs(cx) + abs(cy) + 1.0)
+        if (abs(math.hypot(asx - cx, asy - cy) - radius) > tol
+                or abs(math.hypot(aex - cx, aey - cy) - radius) > tol):
+            raise InvalidGeometry("arc endpoint does not lie on its circle")
+        rows.append((True, t0, t1, (asx, asy, aex, aey, cx, cy, radius,
+                                    math.atan2(asy - cy, asx - cx), sweep)))
+    return rows
+
+
 def level_chain(spine: Spine, level: float) -> List[Tuple[BoundaryPiece, float, float]]:
     """Parallel curve at signed offset `level`, as (piece, t0, t1) entries.
 
     Traversal follows increasing spine parameter; each entry covers the
-    spine interval [t0, t1].
+    spine interval [t0, t1].  The curve is computed on float rows
+    (`_level_rows`) and each piece is built once, from its row.
     """
     out: List[Tuple[BoundaryPiece, float, float]] = []
-    for i, piece in enumerate(spine.pieces):
-        t0, p0, theta0 = spine._states[i]
-        t1 = t0 + piece.length
-        start = p0 + level * unit_from_angle(theta0).perp()
-        if piece.curvature == 0.0:
-            end = start + piece.length * unit_from_angle(theta0)
-            out.append((Segment(start, end), t0, t1))
+    for is_arc, t0, t1, v in _level_rows(spine, level):
+        if is_arc:
+            sx, sy, ex, ey, cx, cy, radius, _, sweep = v
+            piece = Arc(Vec2(sx, sy), Vec2(ex, ey), Vec2(cx, cy), radius,
+                        sweep > 0.0, abs(sweep))
         else:
-            k = piece.curvature
-            if abs(k) * piece.length >= geom.TAU:
-                raise SelfIntersecting(
-                    f"spine piece {i} turns by {abs(k) * piece.length:.3f} rad "
-                    ">= 2*pi; the strip overlaps itself")
-            center = p0 + (1.0 / k) * unit_from_angle(theta0).perp()
-            radius = abs(1.0 / k - level)
-            if radius <= 1e-12:
-                raise NotADiffeomorphism(
-                    f"parallel curve at level {level} collapses on piece {i}")
-            a0 = (start - center).angle()
-            out.append((Arc.from_angles(center, radius, a0, k * piece.length),
-                        t0, t1))
+            piece = Segment(Vec2(v[0], v[1]), Vec2(v[2], v[3]))
+        out.append((piece, t0, t1))
     return out
 
 
-def chain_pieces(chain: Sequence[Tuple[BoundaryPiece, float, float]],
-                 t_from: float, t_to: float,
+def chain_pieces(rows: Sequence[LevelRow], t_from: float, t_to: float,
                  reverse: bool = False) -> List[BoundaryPiece]:
-    """Extract the sub-chain covering [t_from, t_to], optionally reversed."""
+    """The sub-chain of level rows covering [t_from, t_to], optionally
+    reversed.
+
+    Each sub-piece is computed on its row's floats, as `subpiece` of the
+    row's piece would compute it, and built once, already reversed when
+    `reverse` is set; the pieces are built in chain order either way.
+    """
     if not t_from < t_to:
         raise DomainError("empty parameter range")
     pieces: List[BoundaryPiece] = []
-    for piece, t0, t1 in chain:
+    for is_arc, t0, t1, v in rows:
         lo = max(t0, t_from)
         hi = min(t1, t_to)
         if hi - lo <= 1e-12 * (t1 - t0):
             continue
-        u0 = (lo - t0) / (t1 - t0)
-        u1 = (hi - t0) / (t1 - t0)
-        sub = piece.subpiece(max(u0, 0.0), min(u1, 1.0))
-        pieces.append(sub)
+        u0 = max((lo - t0) / (t1 - t0), 0.0)
+        u1 = min((hi - t0) / (t1 - t0), 1.0)
+        if is_arc:
+            cx, cy, radius, a, sweep = v[4:]
+            a0 = a + sweep * u0
+            sub = sweep * (u1 - u0)
+            a1 = a0 + sub
+            start = Vec2(cx + math.cos(a0) * radius, cy + math.sin(a0) * radius)
+            end = Vec2(cx + math.cos(a1) * radius, cy + math.sin(a1) * radius)
+            if reverse:
+                pieces.append(Arc(end, start, Vec2(cx, cy), radius,
+                                  sub < 0.0, abs(sub)))
+            else:
+                pieces.append(Arc(start, end, Vec2(cx, cy), radius,
+                                  sub > 0.0, abs(sub)))
+        else:
+            sx, sy, ex, ey = v
+            dx, dy = ex - sx, ey - sy
+            if not math.isfinite(dx + dy):
+                _require_finite(dx, dy)
+            start = Vec2(sx + dx * u0, sy + dy * u0)
+            end = Vec2(sx + dx * u1, sy + dy * u1)
+            pieces.append(Segment(end, start) if reverse
+                          else Segment(start, end))
     if reverse:
-        pieces = [q.reversed() for q in reversed(pieces)]
+        pieces.reverse()
     return pieces
 
 
@@ -386,7 +479,7 @@ def ball_to_ball_path(st: Strip, r: float, x0: Vec2, x1: Vec2
         return []
     t0, rho0 = st.locate(x0)
     t1, rho1 = st.locate(x1)
-    chain0 = level_chain(st.spine, rho0)
+    chain0 = _level_rows(st.spine, rho0)
     if abs(rho0 - rho1) <= 1e-12 * st.halfwidth:
         lo, hi = min(t0, t1), max(t0, t1)
         pieces = chain_pieces(chain0, lo, hi, reverse=(t0 > t1))
@@ -401,6 +494,6 @@ def ball_to_ball_path(st: Strip, r: float, x0: Vec2, x1: Vec2
     if pa.distance(pb) > 1e-12 * max(st.length, 1.0):
         pieces.append(Segment(pa, pb))
     if t1 - tb > 1e-12 * st.length:
-        chain1 = level_chain(st.spine, rho1)
+        chain1 = _level_rows(st.spine, rho1)
         pieces += chain_pieces(chain1, tb, t1)
     return pieces

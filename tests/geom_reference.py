@@ -12,16 +12,28 @@ here calls the float primitives it is compared with.
 The inner parallel body of a convex region is kept here as the loop that
 rebuilds every junction after each collapsed support, which
 `convex.inner_parallel_body` must match bit for bit.
+
+The strip chain is kept here as it was written with pieces: `level_chain`
+builds an `Arc` or `Segment` per spine piece, `chain_pieces` rebuilds each
+through `subpiece` and reverses it in a second pass, and `inner_set` and
+`ball_to_ball_path` read those pieces.  `spine.level_chain`,
+`spine.chain_pieces`, `solver.inner_set` and `spine.ball_to_ball_path`
+compute on float rows and must match them bit for bit, error messages
+included.
 """
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from cheeger import geom
 from cheeger.convex import ConvexRegion, _Support, _support_vertex
-from cheeger.errors import EmptyInnerSet, InvalidGeometry
-from cheeger.geom import TAU, Arc, ArcPolygon, Segment, Vec2
+from cheeger.errors import (BallNotContained, DegenerateInnerSet,
+                            DomainError, EmptyInnerSet, InvalidGeometry,
+                            NotADiffeomorphism, SelfIntersecting)
+from cheeger.geom import (TAU, Arc, ArcPolygon, BoundaryPiece, Segment, Vec2,
+                          unit_from_angle)
+from cheeger.spine import Spine, Strip, _level_tangency_parameter
 
 
 def end_angle(a: Arc) -> float:
@@ -322,3 +334,168 @@ def inner_parallel_body(c: ConvexRegion, r: float) -> ConvexRegion:
         except InvalidGeometry as exc:
             raise EmptyInnerSet(
                 f"inner parallel body degenerates at depth {r}: {exc}") from exc
+
+
+def level_chain(spine: Spine, level: float) -> List[Tuple[BoundaryPiece, float, float]]:
+    """Parallel curve at signed offset `level`, as (piece, t0, t1) entries.
+
+    Traversal follows increasing spine parameter; each entry covers the
+    spine interval [t0, t1].
+    """
+    out: List[Tuple[BoundaryPiece, float, float]] = []
+    for i, piece in enumerate(spine.pieces):
+        t0, p0, theta0 = spine._states[i]
+        t1 = t0 + piece.length
+        start = p0 + level * unit_from_angle(theta0).perp()
+        if piece.curvature == 0.0:
+            end = start + piece.length * unit_from_angle(theta0)
+            out.append((Segment(start, end), t0, t1))
+        else:
+            k = piece.curvature
+            if abs(k) * piece.length >= geom.TAU:
+                raise SelfIntersecting(
+                    f"spine piece {i} turns by {abs(k) * piece.length:.3f} rad "
+                    ">= 2*pi; the strip overlaps itself")
+            center = p0 + (1.0 / k) * unit_from_angle(theta0).perp()
+            radius = abs(1.0 / k - level)
+            if radius <= 1e-12:
+                raise NotADiffeomorphism(
+                    f"parallel curve at level {level} collapses on piece {i}")
+            a0 = (start - center).angle()
+            out.append((Arc.from_angles(center, radius, a0, k * piece.length),
+                        t0, t1))
+    return out
+
+
+def chain_pieces(chain: Sequence[Tuple[BoundaryPiece, float, float]],
+                 t_from: float, t_to: float,
+                 reverse: bool = False) -> List[BoundaryPiece]:
+    """Extract the sub-chain covering [t_from, t_to], optionally reversed."""
+    if not t_from < t_to:
+        raise DomainError("empty parameter range")
+    pieces: List[BoundaryPiece] = []
+    for piece, t0, t1 in chain:
+        lo = max(t0, t_from)
+        hi = min(t1, t_to)
+        if hi - lo <= 1e-12 * (t1 - t0):
+            continue
+        u0 = (lo - t0) / (t1 - t0)
+        u1 = (hi - t0) / (t1 - t0)
+        sub = piece.subpiece(max(u0, 0.0), min(u1, 1.0))
+        pieces.append(sub)
+    if reverse:
+        pieces = [q.reversed() for q in reversed(pieces)]
+    return pieces
+
+
+def _chain_line_crossings(chain, anchor: Vec2, normal: Vec2, offset: float
+                          ) -> List[float]:
+    """Spine parameters where a level chain crosses {(x-anchor).normal = offset}."""
+    ts: List[float] = []
+    # a point of the line and its direction
+    tx = anchor.x + normal.x * offset
+    ty = anchor.y + normal.y * offset
+    dx, dy = -normal.y, normal.x
+    for piece, t0, t1 in chain:
+        if isinstance(piece, Segment):
+            f0 = (piece.start - anchor).dot(normal) - offset
+            f1 = (piece.end - anchor).dot(normal) - offset
+            if f0 == f1:
+                continue
+            u = f0 / (f0 - f1)
+            if -1e-9 <= u <= 1.0 + 1e-9:
+                ts.append(t0 + min(max(u, 0.0), 1.0) * (t1 - t0))
+        else:
+            cx, cy = piece.center.x, piece.center.y
+            for lam in geom._line_circle(tx, ty, dx, dy, cx, cy, piece.radius):
+                off = piece.angle_offset(
+                    math.atan2(ty + dy * lam - cy, tx + dx * lam - cx))
+                if off <= piece.sweep + geom.ARC_END_SLACK:
+                    u = min(off / piece.sweep, 1.0)
+                    ts.append(t0 + u * (t1 - t0))
+                elif off >= geom.TAU - geom.ARC_END_SLACK:
+                    ts.append(t0)
+    return ts
+
+
+def inner_set(st: Strip, r: float) -> ArcPolygon:
+    """Region of the strip at distance >= r from its boundary.
+
+    Bounded by the two parallel curves at levels +-(s-r) and two trim
+    segments parallel to the end segments at depth r.
+    """
+    s = st.halfwidth
+    if r >= s:
+        raise EmptyInnerSet(f"depth {r} is not below the halfwidth {s}")
+    if r <= 0.0:
+        raise DomainError("depth must be positive")
+    spine = st.spine
+    L = spine.length
+    lo_chain = level_chain(spine, -(s - r))
+    hi_chain = level_chain(spine, s - r)
+    u_left = spine.direction(0.0)
+    a_left = spine.point(0.0)
+    u_right = -spine.direction(L)
+    a_right = spine.point(L)
+
+    def first_cross(chain) -> float:
+        ts = _chain_line_crossings(chain, a_left, u_left, r)
+        if not ts:
+            raise DegenerateInnerSet("no left trim crossing at this depth")
+        return min(ts)
+
+    def last_cross(chain) -> float:
+        ts = _chain_line_crossings(chain, a_right, u_right, r)
+        if not ts:
+            raise DegenerateInnerSet("no right trim crossing at this depth")
+        return max(ts)
+
+    tl_lo, tr_lo = first_cross(lo_chain), last_cross(lo_chain)
+    tl_hi, tr_hi = first_cross(hi_chain), last_cross(hi_chain)
+    if tl_lo >= tr_lo or tl_hi >= tr_hi:
+        raise DegenerateInnerSet(
+            f"end trims cross at depth {r} (strip too short)")
+    bottom = chain_pieces(lo_chain, tl_lo, tr_lo)
+    top = chain_pieces(hi_chain, tl_hi, tr_hi, reverse=True)
+    p_br = bottom[-1].end
+    p_tr = top[0].start
+    p_tl = top[-1].end
+    p_bl = bottom[0].start
+    min_len = 1e-12 * max(L, 1.0)
+    if p_br.distance(p_tr) <= min_len or p_tl.distance(p_bl) <= min_len:
+        raise DegenerateInnerSet(f"trim segment degenerates at depth {r}")
+    return ArcPolygon(bottom + [Segment(p_br, p_tr)] + top
+                      + [Segment(p_tl, p_bl)])
+
+
+def ball_to_ball_path(st: Strip, r: float, x0: Vec2, x1: Vec2
+                      ) -> List[BoundaryPiece]:
+    """`spine.ball_to_ball_path` on the piece chain above."""
+    if r > st.halfwidth * (1.0 + 1e-12):
+        raise BallNotContained(f"ball radius {r} exceeds halfwidth {st.halfwidth}")
+    for x in (x0, x1):
+        if geom.distance_to_boundary(st.boundary, x) < r * (1.0 - 1e-9):
+            raise BallNotContained(
+                f"ball of radius {r} at ({x.x}, {x.y}) is not inside the strip")
+    if x0.distance(x1) <= 1e-12 * max(st.length, 1.0):
+        return []
+    t0, rho0 = st.locate(x0)
+    t1, rho1 = st.locate(x1)
+    chain0 = level_chain(st.spine, rho0)
+    if abs(rho0 - rho1) <= 1e-12 * st.halfwidth:
+        lo, hi = min(t0, t1), max(t0, t1)
+        pieces = chain_pieces(chain0, lo, hi, reverse=(t0 > t1))
+        return pieces
+    ta = _level_tangency_parameter(st, rho0, r, t0)
+    tb = _level_tangency_parameter(st, rho1, r, t1)
+    pieces: List[BoundaryPiece] = []
+    if t0 - ta > 1e-12 * st.length:
+        pieces += chain_pieces(chain0, ta, t0, reverse=True)
+    pa = st.point(ta, rho0)
+    pb = st.point(tb, rho1)
+    if pa.distance(pb) > 1e-12 * max(st.length, 1.0):
+        pieces.append(Segment(pa, pb))
+    if t1 - tb > 1e-12 * st.length:
+        chain1 = level_chain(st.spine, rho1)
+        pieces += chain_pieces(chain1, tb, t1)
+    return pieces

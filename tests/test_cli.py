@@ -505,6 +505,60 @@ def test_whole_spec_fails_typed(spec, allow_short):
         pass
 
 
+# Short strips whose trims meet within 1e-12 of a spine piece at some depth
+# of the root solve: the trimmed lower level curve was empty there, and
+# indexing its last piece raised IndexError.
+EMPTY_TRIM_SPECS = [
+    ({"type": "strip", "halfwidth": 0.999999999999,
+      "spine": [{"kind": "arc", "length": 0.5, "curvature": -0.5}]}, 1),
+    ({"type": "strip", "halfwidth": 1.0,
+      "spine": [{"kind": "line", "length": 0.5},
+                {"kind": "arc", "length": 0.5,
+                 "curvature": 0.999999999999}]}, 2),
+]
+
+
+@pytest.mark.parametrize("spec, expected", EMPTY_TRIM_SPECS)
+def test_empty_trimmed_level_curve_is_a_typed_outcome(spec, expected,
+                                                      tmp_path, capsys):
+    path = write_spec(tmp_path, "strip.json", spec)
+    code, out, err = run_main(capsys, ["solve", "--allow-short-strip", path])
+    assert code == expected
+    if expected == 1:
+        assert out == ""
+        assert re.fullmatch(r"error: the sign change at depth \S+ borders "
+                            r"infeasible depths\n", err)
+    else:
+        failing = [c["name"] for c in json.loads(out)["checks"]
+                   if not c["pass"]]
+        assert failing == ["inner_cheeger_residual", "cheeger_ratio_identity"]
+
+
+short_strip_piece = st.tuples(st.sampled_from(["line", "arc", "arc"]),
+                              st.floats(0.1, 3.0), st.floats(0.1, 1.0),
+                              st.sampled_from([1.0, -1.0]))
+
+
+@given(st.lists(short_strip_piece, min_size=1, max_size=2),
+       st.sampled_from([1e-12, 1e-9, 1e-6]) | st.floats(0.0, 0.5))
+@settings(max_examples=60, deadline=None)
+def test_short_strips_near_the_curvature_limit_end_typed(pieces, gap):
+    # one or two pieces of total length 0.1-3, halfwidth (1 - gap)/max|kappa|:
+    # depths near the halfwidth, where the end trims meet
+    spine_spec = [{"kind": "line", "length": length / len(pieces)}
+                  if kind == "line" else
+                  {"kind": "arc", "length": length / len(pieces),
+                   "curvature": sign * kappa}
+                  for kind, length, kappa, sign in pieces]
+    kappa_max = max(abs(p.get("curvature", 0.0)) for p in spine_spec)
+    spec = {"type": "strip", "halfwidth": (1.0 - gap) / (kappa_max or 1.0),
+            "spine": spine_spec}
+    try:
+        json.dumps(cli.build_report(cli.solve_domain(spec, allow_short=True)))
+    except (cli.SpecError, CheegerError):
+        pass
+
+
 def test_render_gallery_script(tmp_path, capsys):
     script = Path(__file__).resolve().parents[1] / "scripts" / \
         "render_gallery.py"
