@@ -215,9 +215,10 @@ LevelRow = Tuple[bool, float, float, tuple]
 def _require_finite(*xy: float) -> None:
     """Raise what Vec2 raises for the first non-finite (x, y) pair.
 
-    The level rows compute in floats the points that Vec2 operations used
-    to build, and call this only when a cheap sum test finds a non-finite
-    value, so an overflow reports the same coordinates as before."""
+    Level rows compute in floats the intermediate points that an
+    evaluation with Vec2 operations would build.  They call this only when
+    a sum of those values is not finite, so an overflow names the
+    coordinates of the first point that Vec2 would have rejected."""
     for i in range(0, len(xy), 2):
         Vec2(xy[i], xy[i + 1])
 
@@ -229,12 +230,13 @@ def _level_rows(spine: Spine, level: float) -> List[LevelRow]:
     [t0, t1].  Segment values are (sx, sy, ex, ey); arc values are
     (sx, sy, ex, ey, cx, cy, radius, start angle, signed sweep), where the
     start angle is the one the built arc's `start_angle` returns, the
-    direction of its computed start from its centre.  The arithmetic is
-    that of the Vec2 chain `Arc.from_angles` built, in the same order, so
-    the pieces `level_chain` builds from these rows are the same bit for
-    bit.  Every check the skipped Vec2, Segment and Arc constructors made
-    is made here, at the same piece and in the same order, with the same
-    exception type and message.
+    direction of its computed start from its centre.  The values are the
+    expressions of the Vec2 evaluation (`level_chain` in
+    tests/geom_reference.py, through `Arc.from_angles`), in their order,
+    so the pieces built from a row equal the ones that evaluation builds,
+    bit for bit.  Every check its Vec2, Segment and Arc
+    constructors make is made here, at the same piece and in the same
+    order, with the same exception type and message.
     """
     rows: List[LevelRow] = []
     for i, piece in enumerate(spine.pieces):
