@@ -215,9 +215,6 @@ class Arc:
             return (phi - self.start_angle) % TAU
         return (self.start_angle - phi) % TAU
 
-    def contains_angle(self, phi: float) -> bool:
-        return _on_arc(phi, self.start_angle, self.ccw, self.sweep)
-
     def reversed(self) -> "Arc":
         return Arc(self.end, self.start, self.center, self.radius,
                    not self.ccw, self.sweep)
@@ -526,7 +523,17 @@ def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
     keep that answer when rounding picks the junction over an equally near
     interior point.  At a tangent junction the piece's own side decides.
     """
-    px, py = x.x, x.y
+    return _signed_depth(p, x.x, x.y, 0.0)
+
+
+def _signed_depth(p: ArcPolygon, px: float, py: float, stop: float) -> float:
+    """distance_to_boundary at (px, py), with an early end: the search stops
+    at the first piece it finds closer than `stop` and returns that piece's
+    distance, unsigned.  A result of magnitude below `stop` says only that
+    the boundary comes that close; its sign means nothing.  A search that
+    finds no such piece is the full search, so its result is the signed
+    distance bit for bit.  With stop = 0 it never ends early.
+    """
     rows, _, nodes = _piece_index(p)
     slack = 1e-9 * (abs(px) + abs(py))
     best = limit = limit2 = math.inf
@@ -542,6 +549,8 @@ def distance_to_boundary(p: ArcPolygon, x: Vec2) -> float:
             is_arc, row = rows[lo]
             d, at, _, _ = (_arc_foot if is_arc else _segment_foot)(px, py, row)
             if d < best:
+                if d < stop:
+                    return d
                 best, nearest, where = d, lo, at
                 limit = best + slack
                 limit2 = limit * limit
@@ -832,22 +841,31 @@ def is_convex(p: ArcPolygon) -> bool:
     return all(t >= -ANG_TOL for t in junction_turns(p))
 
 
-def reach_lower_bound(p: ArcPolygon) -> float:
-    """Certified lower bound on the reach of the closed region.
+def reach_lower_bound(p: ArcPolygon, *, cap: float = math.inf) -> float:
+    """Certified lower bound on the reach of the closed region, capped:
+    exactly min(bound, cap).
 
     Convex regions have infinite reach.  A concave (reflex) vertex gives
     zero.  Otherwise the bound is the minimum of all concave arc radii and
     half the distance of every genuine outside bottleneck: a non-adjacent
     piece pair whose midpoint lies outside at distance about half the pair
     gap, so nothing else is closer to it.
+
+    The pair scan starts from best = min(concave radii, cap) and tests only
+    pairs closer than 2 * best.  Whether a pair is accepted does not depend
+    on best, and a pair whose half gap is at least cap cannot lower a
+    capped result; so skipping the pairs at least 2 * cap apart leaves
+    min(bound, cap) as it is.  `offset_outward_disk` needs only reach >= rho
+    and caps at rho.  A pair is rejected once any piece lies closer to its
+    midpoint than the accepted depth; that midpoint query stops there.
     """
     if any(t < -ANG_TOL for t in junction_turns(p)):
-        return 0.0
+        return min(0.0, cap)
     concave_radii = [q.radius for q in p.pieces
                      if isinstance(q, Arc) and not q.ccw]
     if not concave_radii:
-        return math.inf  # convex
-    best = min(concave_radii)
+        return cap  # convex: infinite reach
+    best = min(min(concave_radii), cap)
     pieces = p.pieces
     n = len(pieces)
     _, boxes, nodes = _piece_index(p)
@@ -862,9 +880,10 @@ def reach_lower_bound(p: ArcPolygon) -> float:
             d, pa, pb = piece_distance(pieces[i], pieces[j])
             if d >= 2.0 * best or d == 0.0:
                 continue
-            mid = (pa + pb) * 0.5
-            sd = distance_to_boundary(p, mid)
-            if sd < 0.0 and -sd >= 0.5 * d * (1.0 - 1e-6):
+            depth = 0.5 * d * (1.0 - 1e-6)
+            sd = _signed_depth(p, (pa.x + pb.x) * 0.5, (pa.y + pb.y) * 0.5,
+                               depth)
+            if sd < 0.0 and -sd >= depth:
                 best = min(best, 0.5 * d)
     return best
 
@@ -904,14 +923,17 @@ def offset_outward_disk(p: ArcPolygon, rho: float,
     result satisfies the Steiner identities
         area' = area + rho*perimeter + pi*rho^2
         perimeter' = perimeter + 2*pi*rho
-    whenever rho does not exceed the reach of the region.
+    whenever rho does not exceed the reach of the region.  Without a
+    `reach_bound` the region's reach is certified up to rho only
+    (reach_lower_bound capped at rho); a region whose certified bound falls
+    below rho raises ReachViolation, which names that bound.
     """
     if rho < 0.0:
         raise InvalidGeometry("offset distance must be nonnegative")
     if rho == 0.0:
         return p
     if reach_bound is None:
-        reach_bound = reach_lower_bound(p)
+        reach_bound = reach_lower_bound(p, cap=rho)
     if reach_bound < rho * (1.0 - 1e-12):
         raise ReachViolation(
             f"offset {rho} exceeds certified reach {reach_bound}")

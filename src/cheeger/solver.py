@@ -155,8 +155,11 @@ def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
     depth, is replaced by the bracket midpoint.  Depths where inner(r) is
     degenerate or empty count as f = -inf.  The solve stops once the bracket
     is narrower than 1e-13*hi, or once |f| <= RESIDUAL_TOL*pi*r^2 and the
-    next Newton step would move r by at most 1e-13*r.  The Cheeger set is
-    E_r + B_r, offset under `reach_bound`.
+    next Newton step would move r by at most 1e-13*r.  A solve that ends
+    with the bracket's upper end at an infeasible depth and |f| above
+    RESIDUAL_TOL*pi*r^2 has closed onto the depth where E_r stops existing,
+    not onto a root, and raises NoRoot.  The Cheeger set is E_r + B_r,
+    offset under `reach_bound`.
     """
 
     def f(r: float) -> Tuple[Optional[ArcPolygon], float, float]:
@@ -181,13 +184,13 @@ def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
         if val > 0.0:
             lo = r
         else:
-            hi = r
+            hi, f_hi = r, val
         if hi - lo <= 1e-13 * hi:
             break
         if (math.isfinite(val) and abs(val) <= RESIDUAL_TOL * math.pi * r * r
                 and abs(val / slope) <= 1e-13 * r):
             break
-    if e_r is None:
+    if f_hi == -math.inf and abs(val) > RESIDUAL_TOL * math.pi * r * r:
         raise NoRoot(f"the sign change at depth {r} borders infeasible depths")
     cheeger = geom.offset_outward_disk(e_r, r, reach_bound)
     return CheegerSolution(r=r, h=1.0 / r, inner_set=e_r, cheeger_set=cheeger,

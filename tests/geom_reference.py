@@ -36,6 +36,12 @@ from cheeger.geom import (TAU, Arc, ArcPolygon, BoundaryPiece, Segment, Vec2,
 from cheeger.spine import Spine, Strip, _level_tangency_parameter
 
 
+def contains_angle(a: Arc, phi: float) -> bool:
+    """Whether direction phi lies on the arc, up to ARC_END_SLACK past
+    either end."""
+    return geom._on_arc(phi, a.start_angle, a.ccw, a.sweep)
+
+
 def end_angle(a: Arc) -> float:
     return (a.end - a.center).angle()
 
@@ -56,7 +62,7 @@ def point_to_arc(x: Vec2, a: Arc) -> tuple:
     r = v.norm()
     if r > 1e-300:
         phi = v.angle()
-        if a.contains_angle(phi):
+        if contains_angle(a, phi):
             q = a.center + a.radius * (v * (1.0 / r))
             return abs(r - a.radius), q
     d0 = x.distance(a.start)
@@ -77,7 +83,7 @@ def piece_box(piece) -> tuple:
     ys = [piece.start.y, piece.end.y]
     if isinstance(piece, Arc):
         for phi in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
-            if piece.contains_angle(phi):
+            if contains_angle(piece, phi):
                 p = piece.center + piece.radius * geom.unit_from_angle(phi)
                 xs.append(p.x)
                 ys.append(p.y)
@@ -155,7 +161,7 @@ def piece_distance(a, b) -> tuple:
         for t in crossings:
             if -1e-12 <= t <= 1.0 + 1e-12:
                 pt = seg.point_at(min(max(t, 0.0), 1.0))
-                if arc.contains_angle((pt - arc.center).angle()):
+                if contains_angle(arc, (pt - arc.center).angle()):
                     return 0.0, pt, pt
         cands = []
         for pt in (seg.start, seg.end):
@@ -170,14 +176,14 @@ def piece_distance(a, b) -> tuple:
             v = foot - arc.center
             if v.norm() > 1e-300:
                 q = arc.center + arc.radius * v.unit()
-                if arc.contains_angle((q - arc.center).angle()):
+                if contains_angle(arc, (q - arc.center).angle()):
                     cands.append((q.distance(foot), q, foot))
         best = min(cands, key=lambda c: c[0])
         return best[0], best[1], best[2]
     # arc/arc
     for x in circle_circle(a.center, a.radius, b.center, b.radius):
-        if a.contains_angle((x - a.center).angle()) and \
-           b.contains_angle((x - b.center).angle()):
+        if contains_angle(a, (x - a.center).angle()) and \
+           contains_angle(b, (x - b.center).angle()):
             return 0.0, x, x
     cands = []
     for pt in (a.start, a.end):
@@ -191,15 +197,15 @@ def piece_distance(a, b) -> tuple:
     if dist > 1e-12 * (a.radius + b.radius):
         u = sep * (1.0 / dist)
         for pa in (a.center + u * a.radius, a.center - u * a.radius):
-            if not a.contains_angle((pa - a.center).angle()):
+            if not contains_angle(a, (pa - a.center).angle()):
                 continue
             for pb in (b.center + u * b.radius, b.center - u * b.radius):
-                if b.contains_angle((pb - b.center).angle()):
+                if contains_angle(b, (pb - b.center).angle()):
                     cands.append((pa.distance(pb), pa, pb))
     else:
         # near-concentric: radial gap wherever the angular spans overlap
         for phi in (a.start_angle, end_angle(a), b.start_angle, end_angle(b)):
-            if a.contains_angle(phi) and b.contains_angle(phi):
+            if contains_angle(a, phi) and contains_angle(b, phi):
                 pa = a.center + a.radius * geom.unit_from_angle(phi)
                 pb = b.center + b.radius * geom.unit_from_angle(phi)
                 cands.append((pa.distance(pb), pa, pb))

@@ -508,13 +508,18 @@ def _all_pairs_reach_bound(p):
     return best
 
 
-def test_reach_bound_set_by_piece_pair_across_many_pieces(monkeypatch):
-    # a C of 40 arc pieces turning 5.8 rad in all: the bottleneck between
-    # its end caps lies far below the concave radius 1/0.2 - 1 = 4
+def _arc_c(pieces):
+    # a strip of halfwidth 1 around a C of `pieces` equal arcs of curvature
+    # 0.2 turning 5.8 rad in all: the bottleneck between its end caps lies
+    # far below the concave radius 1/0.2 - 1 = 4
     from cheeger import spine
-    many = spine.build_strip(spine.Spine(tuple(
-        spine.SpinePiece(29.0 / 40.0, 0.2) for _ in range(40))), 1.0).boundary
-    one = spine.build_strip(spine.circular_spine(0.2, 29.0), 1.0).boundary
+    return spine.build_strip(spine.Spine(tuple(
+        spine.SpinePiece(29.0 / pieces, 0.2) for _ in range(pieces))),
+        1.0).boundary
+
+
+def test_reach_bound_set_by_piece_pair_across_many_pieces(monkeypatch):
+    many, one = _arc_c(40), _arc_c(1)
     assert (len(many.pieces), len(one.pieces)) == (82, 4)
     single_arc_bound = geom.reach_lower_bound(one)
     index = {id(q): i for i, q in enumerate(many.pieces)}
@@ -533,6 +538,102 @@ def test_reach_bound_set_by_piece_pair_across_many_pieces(monkeypatch):
     assert pruned == tested
     assert bound < 1.0
     assert bound == pytest.approx(single_arc_bound, rel=1e-12)
+
+
+@functools.lru_cache(maxsize=1)
+def _reach_shapes():
+    """(loop, depth, uncapped reach bound): the ladder E_r at their roots,
+    the gallery loops, the notched stadium, the loose bow-tie components,
+    a straight strip, the L shape and the 40-arc C whose bound a piece pair
+    sets.  The depth is the root where there is one, else the bound or 1."""
+    from cheeger import gallery
+    shapes = [(sol.inner_set, sol.r)
+              for _, sol in verify.ladder_solutions().values()]
+    theta = gallery.solve_pinocchio_theta()
+    bowtie = gallery.build_bowtie(0.03)
+    loops = [gallery.pinocchio_region(theta),
+             gallery.pinocchio_region(theta, nose=0.5),
+             gallery.pinocchio_region_bent(theta, 0.5),
+             gallery.two_ears_region(gallery.two_ears_theta()),
+             gallery.two_ears_region_stretched(0.3, 0.5),
+             gallery.build_bowtie(0.0).region, bowtie.region,
+             verify.notched_stadium(), ELL, _arc_c(40),
+             verify.strip_families()["straight"](20.0).boundary]
+    loops += gallery.loose_bowtie_inner_set(bowtie, 0.16)
+    for loop in loops:
+        bound = geom.reach_lower_bound(loop)
+        shapes.append((loop, bound if 0.0 < bound < math.inf else 1.0))
+    return tuple((loop, r, geom.reach_lower_bound(loop))
+                 for loop, r in shapes)
+
+
+def test_reach_shapes_take_every_path():
+    # the bound comes from a reflex junction, from no concave arc at all,
+    # from the smallest concave radius and from a piece pair
+    sources = set()
+    for loop, _, bound in _reach_shapes():
+        radii = [q.radius for q in loop.pieces
+                 if isinstance(q, Arc) and not q.ccw]
+        sources.add("reflex" if bound == 0.0 else "convex"
+                    if bound == math.inf else "radius"
+                    if bound == min(radii) else "pair")
+    assert sources == {"reflex", "convex", "radius", "pair"}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_capped_reach_is_min_of_bound_and_cap(data):
+    loop, r, bound = data.draw(st.sampled_from(_reach_shapes()))
+    cap = data.draw(st.sampled_from(
+        [0.0, -r, math.inf, r, bound, math.nextafter(bound, 0.0),
+         math.nextafter(bound, math.inf)])
+        | st.floats(0.5, 2.0).map(lambda k: k * r))
+    capped = geom.reach_lower_bound(loop, cap=cap)
+    assert capped.hex() == min(bound, cap).hex()
+
+
+def test_capping_the_k05_ladder_inner_set_tests_fewer_pairs(monkeypatch):
+    _, sol = verify.ladder_solutions()[("serpentine_k05", 160.0)]
+    calls = []
+    piece_distance = geom.piece_distance
+
+    def counting(a, b):
+        calls.append(None)
+        return piece_distance(a, b)
+
+    monkeypatch.setattr(geom, "piece_distance", counting)
+    bound = geom.reach_lower_bound(sol.inner_set)
+    uncapped, calls[:] = len(calls), []
+    capped = geom.reach_lower_bound(sol.inner_set, cap=sol.r)
+    assert sol.r < bound
+    assert capped == sol.r
+    assert 0 < len(calls) < uncapped
+    # the offset certifies reach up to its radius only
+    capped, calls[:] = len(calls), []
+    geom.offset_outward_disk(sol.inner_set, sol.r)
+    assert len(calls) == capped
+
+
+@given(st.integers(0, 5), fractions, fractions, st.data())
+@settings(max_examples=200, deadline=None)
+def test_signed_depth_decides_as_the_full_query(which, u, v, data):
+    # the reach pair test accepts a midpoint when sd < 0 and -sd >= t; the
+    # early-ending query must decide the same, and return sd itself when no
+    # piece lies closer than t
+    shape = _indexed_shapes()[which]
+    x0, y0, x1, y1 = shape.bounding_box
+    x = Vec2(x0 - 0.5 + u * (x1 - x0 + 1.0), y0 - 0.5 + v * (y1 - y0 + 1.0))
+    sd = geom.distance_to_boundary(shape, x)
+    dist = abs(sd)
+    t = data.draw(st.sampled_from(
+        [0.0, dist, math.nextafter(dist, 0.0), math.nextafter(dist, math.inf)])
+        | st.floats(0.0, 2.0).map(lambda k: k * dist))
+    early = geom._signed_depth(shape, x.x, x.y, t)
+    assert (early < 0.0 and -early >= t) == (sd < 0.0 and -sd >= t)
+    if dist >= t:
+        assert early.hex() == sd.hex()
+    else:
+        assert abs(early) < t
 
 
 def test_simple_check_finds_crossing_far_apart_in_loop_order():

@@ -152,6 +152,25 @@ def test_newton_without_sign_change_raises():
         solver._solve_inner_formula(shrinking_disks(1.0), 1e-9, 0.4, math.inf)
 
 
+def test_sign_change_at_an_empty_depth_is_no_root():
+    # f > 0 up to the cut at 0.3, where the family empties: the bracket
+    # closes onto the cut with f = pi*(0.7^2 - 0.3^2), not onto a root
+    with pytest.raises(NoRoot, match="borders infeasible depths"):
+        solver._solve_inner_formula(shrinking_disks(1.0, cut=0.3), 1e-9,
+                                    0.9, math.inf)
+
+
+def test_root_bordering_an_empty_depth_is_kept():
+    # the family empties 1e-14 below the root R/4: the bracket closes onto
+    # the cut from the feasible side, where |f| is within RESIDUAL_TOL
+    cut = 0.25 * (1.0 - 1e-14)
+    sol = solver._solve_inner_formula(shrinking_disks(1.0, rate=3.0, cut=cut),
+                                      1e-9, 0.9, math.inf)
+    assert sol.r <= cut
+    assert sol.r == pytest.approx(0.25, rel=1e-13)
+    assert sol.residual <= solver.RESIDUAL_TOL * math.pi * sol.r ** 2
+
+
 def test_newton_stops_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
     sol = solver._solve_inner_formula(shrinking_disks(1.0, rate=3.0), 1e-9,
