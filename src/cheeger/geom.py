@@ -852,12 +852,13 @@ def reach_lower_bound(p: ArcPolygon, *, cap: float = math.inf) -> float:
     gap, so nothing else is closer to it.
 
     The pair scan starts from best = min(concave radii, cap) and tests only
-    pairs closer than 2 * best.  Whether a pair is accepted does not depend
-    on best, and a pair whose half gap is at least cap cannot lower a
-    capped result; so skipping the pairs at least 2 * cap apart leaves
-    min(bound, cap) as it is.  `offset_outward_disk` needs only reach >= rho
-    and caps at rho.  A pair is rejected once any piece lies closer to its
-    midpoint than the accepted depth; that midpoint query stops there.
+    pairs whose box gap and distance are below 2 * best.  Whether a pair is
+    accepted does not depend on best, and a pair whose half gap is at least
+    cap cannot lower a capped result; so skipping the pairs at least
+    2 * cap apart leaves min(bound, cap) as it is.  `offset_outward_disk`
+    needs only reach >= rho and caps at rho.  A pair is rejected as soon as
+    some piece lies closer to its midpoint than the depth that would accept
+    it, and its midpoint query (_signed_depth) ends there.
     """
     if any(t < -ANG_TOL for t in junction_turns(p)):
         return min(0.0, cap)

@@ -508,18 +508,19 @@ def _all_pairs_reach_bound(p):
     return best
 
 
-def _arc_c(pieces):
-    # a strip of halfwidth 1 around a C of `pieces` equal arcs of curvature
-    # 0.2 turning 5.8 rad in all: the bottleneck between its end caps lies
-    # far below the concave radius 1/0.2 - 1 = 4
+def _arc_c():
+    # a strip of halfwidth 1 around a C of 40 arc pieces of curvature 0.2
+    # turning 5.8 rad in all: the bottleneck between its end caps lies far
+    # below the concave radius 1/0.2 - 1 = 4
     from cheeger import spine
     return spine.build_strip(spine.Spine(tuple(
-        spine.SpinePiece(29.0 / pieces, 0.2) for _ in range(pieces))),
-        1.0).boundary
+        spine.SpinePiece(29.0 / 40.0, 0.2) for _ in range(40))), 1.0).boundary
 
 
 def test_reach_bound_set_by_piece_pair_across_many_pieces(monkeypatch):
-    many, one = _arc_c(40), _arc_c(1)
+    from cheeger import spine
+    many = _arc_c()
+    one = spine.build_strip(spine.circular_spine(0.2, 29.0), 1.0).boundary
     assert (len(many.pieces), len(one.pieces)) == (82, 4)
     single_arc_bound = geom.reach_lower_bound(one)
     index = {id(q): i for i, q in enumerate(many.pieces)}
@@ -547,7 +548,7 @@ def _reach_shapes():
     a straight strip, the L shape and the 40-arc C whose bound a piece pair
     sets.  The depth is the root where there is one, else the bound or 1."""
     from cheeger import gallery
-    shapes = [(sol.inner_set, sol.r)
+    shapes = [(sol.inner_set, sol.r, geom.reach_lower_bound(sol.inner_set))
               for _, sol in verify.ladder_solutions().values()]
     theta = gallery.solve_pinocchio_theta()
     bowtie = gallery.build_bowtie(0.03)
@@ -557,14 +558,13 @@ def _reach_shapes():
              gallery.two_ears_region(gallery.two_ears_theta()),
              gallery.two_ears_region_stretched(0.3, 0.5),
              gallery.build_bowtie(0.0).region, bowtie.region,
-             verify.notched_stadium(), ELL, _arc_c(40),
+             verify.notched_stadium(), ELL, _arc_c(),
              verify.strip_families()["straight"](20.0).boundary]
     loops += gallery.loose_bowtie_inner_set(bowtie, 0.16)
     for loop in loops:
         bound = geom.reach_lower_bound(loop)
-        shapes.append((loop, bound if 0.0 < bound < math.inf else 1.0))
-    return tuple((loop, r, geom.reach_lower_bound(loop))
-                 for loop, r in shapes)
+        shapes.append((loop, bound if 0.0 < bound < math.inf else 1.0, bound))
+    return tuple(shapes)
 
 
 def test_reach_shapes_take_every_path():
