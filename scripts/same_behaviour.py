@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Print one JSON digest of what the library computes, to compare two
+checkouts.
+
+    python scripts/same_behaviour.py > after.json      # in each checkout
+    diff before.json after.json
+
+The package and the benchmark workloads are imported from the checkout
+that holds this script (its `src/` and `perfbench/`); `perfbench/` is only
+read.  The digest holds the sha256 of:
+  - per workload (ladder, convex, oracles) and seed (0, 1), one pass of the
+    benchmark's operations: every `cli.build_report` JSON they make, their
+    failure lists (an operation that raises records its error type and
+    message), and every outward offset they make (`geom.offset_outward_disk`:
+    the input's area and perimeter, the radius, the uncapped reach bound of
+    the input, and the result's area and perimeter, or the error), all
+    floats in `float.hex`;
+  - the check list (name, verdict, detail) of each `verify` suite;
+  - the exit code, stdout and stderr of `cheeger solve --allow-short-strip`
+    on short and malformed strip specs, among them the two strips whose
+    trimmed level curve empties near the root and a seeded sample of one-
+    and two-piece strips near the curvature limit.
+Each workload also reports how many reports, failures and offsets it made.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from cheeger import cli, geom, verify  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (0, 1)
+SHORT_STRIP_SAMPLE = 40
+
+
+def sha(items) -> str:
+    text = json.dumps(items, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def hexed(x: float) -> str:
+    return float(x).hex()
+
+
+def outcome(fn, *args):
+    """fn(*args), or [error type, message]."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # every error is part of the behaviour
+        return [type(exc).__name__, str(exc)]
+
+
+def run_workload(name: str, seed: int) -> dict:
+    reports, failures, offsets = [], [], []
+    build_report = cli.build_report
+    offset = geom.offset_outward_disk
+
+    def recording_report(out):
+        report = build_report(out)
+        reports.append(json.dumps(report, sort_keys=True))
+        return report
+
+    def recording_offset(p, rho, reach_bound=None):
+        entry = [hexed(p.area), hexed(p.perimeter), hexed(rho),
+                 outcome(lambda: hexed(geom.reach_lower_bound(p)))]
+        try:
+            grown = offset(p, rho, reach_bound)
+        except Exception as exc:
+            offsets.append(entry + [type(exc).__name__, str(exc)])
+            raise
+        offsets.append(entry + [hexed(grown.area), hexed(grown.perimeter)])
+        return grown
+
+    cli.build_report = recording_report
+    geom.offset_outward_disk = recording_offset
+    try:
+        for op in workloads.build(name, seed):
+            workloads.clear_caches()
+            failures.append([op.name, outcome(op.run)])
+    finally:
+        cli.build_report = build_report
+        geom.offset_outward_disk = offset
+    return {"reports": sha(reports), "failures": sha(failures),
+            "offsets": sha(offsets), "count": [len(reports), len(failures),
+                                               len(offsets)]}
+
+
+def suite_checks(name: str) -> str:
+    return sha([[c.name, c.passed, c.detail] for c in verify.run_suite(name)])
+
+
+def short_strip_specs() -> list:
+    """Strips the root solve cannot certify: the two whose trimmed lower
+    level curve empties near the root, a seeded sample of one or two pieces
+    of total length 0.1-3 with halfwidth (1 - gap)/max|curvature|, and
+    malformed specs."""
+    specs = [
+        {"type": "strip", "halfwidth": 0.999999999999,
+         "spine": [{"kind": "arc", "length": 0.5, "curvature": -0.5}]},
+        {"type": "strip", "halfwidth": 1.0,
+         "spine": [{"kind": "line", "length": 0.5},
+                   {"kind": "arc", "length": 0.5,
+                    "curvature": 0.999999999999}]},
+        {"type": "strip", "halfwidth": 1.0,
+         "spine": [{"kind": "line", "length": 10.0}]},
+        {"type": "strip", "halfwidth": 1.0, "spine": []},
+        {"type": "strip", "halfwidth": -1.0,
+         "spine": [{"kind": "line", "length": 10.0}]},
+        {"type": "strip", "halfwidth": 1.5,
+         "spine": [{"kind": "arc", "length": 20.0, "curvature": 0.9}]},
+    ]
+    rng = random.Random(0)
+    for _ in range(SHORT_STRIP_SAMPLE):
+        count = rng.choice((1, 2))
+        total = rng.uniform(0.1, 3.0)
+        pieces = []
+        for _ in range(count):
+            kind = rng.choice(("line", "arc", "arc"))
+            if kind == "line":
+                pieces.append({"kind": "line", "length": total / count})
+            else:
+                pieces.append({"kind": "arc", "length": total / count,
+                               "curvature": rng.choice((1, -1))
+                               * rng.uniform(0.1, 1.0)})
+        kappa = max(abs(p.get("curvature", 0.0)) for p in pieces) or 1.0
+        gap = rng.choice((1e-12, 1e-9, 1e-6, rng.uniform(0.0, 0.5)))
+        specs.append({"type": "strip", "halfwidth": (1.0 - gap) / kappa,
+                      "spine": pieces})
+    return specs
+
+
+def cli_outcomes() -> str:
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, spec in enumerate(short_strip_specs()):
+            path = os.path.join(tmp, f"strip_{k}.json")
+            with open(path, "w") as fh:
+                json.dump(spec, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["solve", "--allow-short-strip", path])
+            results.append([code, out.getvalue(),
+                            err.getvalue().replace(tmp, "<tmp>")])
+    return sha(results)
+
+
+def main() -> int:
+    digest = {"workloads": {f"{name}/{seed}": run_workload(name, seed)
+                            for name in workloads.BUILDERS for seed in SEEDS},
+              "suites": {name: suite_checks(name) for name in verify.SUITES},
+              "cli_solve": cli_outcomes()}
+    print(json.dumps(digest, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import geom
 from .errors import EmptyInnerSet, InvalidGeometry, PropertyViolation
@@ -251,8 +251,14 @@ def solve_convex(c: ConvexRegion) -> CheegerSolution:
     vertex and each arc floor against r (less 1e-9*scale) is a proof.
     """
     hi = math.sqrt(c.area / math.pi)
-    sol = _solve_inner_formula(lambda r: inner_parallel_body(c, r).region,
-                               1e-12 * hi, hi, reach_bound=math.inf)
+    bodies = {}
+
+    def measure(r: float) -> Tuple[float, float]:
+        body = bodies[r] = inner_parallel_body(c, r).region
+        return body.area, body.perimeter
+
+    sol = _solve_inner_formula(measure, bodies.__getitem__, 1e-12 * hi, hi,
+                               reach_bound=math.inf)
     # rounding in the offset grows with the coordinates, not just the size
     scale = max(c.region.diameter, 1.0,
                 *(abs(v) for v in c.region.bounding_box))

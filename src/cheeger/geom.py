@@ -6,8 +6,10 @@ queries and piece-pair scans search a tree of bounding boxes over runs of
 consecutive pieces.  Each kernel primitive has one implementation, on plain
 floats read from the pieces (_piece_row): the point foot on a segment and on
 an arc, the arc's bounding box, line/circle and circle/circle crossings.
-They build a Vec2 only for a point a public function returns.  Each loop
-builds one index, its rows, piece boxes and box tree, on first use.
+They build a Vec2 only for a point a public function returns.  A loop is
+checked and measured on its rows (_loop_measures), which also serves
+callers that need only a loop's measures and build no pieces; the loop
+keeps those rows and piece boxes, and builds its box tree on first use.
 Everything is immutable and pure; an arc computes its start angle once, on
 first read.
 """
@@ -29,8 +31,10 @@ REL_TOL = 1e-12
 ANG_TOL = 1e-9
 # Angle (radians) past either end of an arc that still counts as on the arc.
 ARC_END_SLACK = 1e-9
-# Directions of the axis-extreme points of a circle.
-_QUARTER_TURNS = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
+# Directions of the axis-extreme points of a circle, with their cosines and
+# sines.
+_QUARTER_TURNS = tuple((phi, math.cos(phi), math.sin(phi))
+                       for phi in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi))
 _by_distance = operator.itemgetter(0)
 
 
@@ -138,8 +142,7 @@ class Segment:
         return Segment(self.point_at(u0), self.point_at(u1))
 
     def bbox(self) -> tuple:
-        return (min(self.start.x, self.end.x), min(self.start.y, self.end.y),
-                max(self.start.x, self.end.x), max(self.start.y, self.end.y))
+        return _row_box(*_piece_row(self))
 
 
 @dataclass(frozen=True)
@@ -232,15 +235,7 @@ class Arc:
                                self.signed_sweep * (u1 - u0))
 
     def bbox(self) -> tuple:
-        cx, cy, radius = self.center.x, self.center.y, self.radius
-        a0, ccw, sweep = self.start_angle, self.ccw, self.sweep
-        xs = [self.start.x, self.end.x]
-        ys = [self.start.y, self.end.y]
-        for phi in _QUARTER_TURNS:
-            if _on_arc(phi, a0, ccw, sweep):
-                xs.append(cx + math.cos(phi) * radius)
-                ys.append(cy + math.sin(phi) * radius)
-        return (min(xs), min(ys), max(xs), max(ys))
+        return _row_box(*_piece_row(self))
 
 
 BoundaryPiece = Union[Segment, Arc]
@@ -261,47 +256,28 @@ class ArcPolygon:
     """Closed counterclockwise loop of segments and circular arcs.
 
     Clockwise input is reversed on construction.  Consecutive pieces must
-    share endpoints to within 1e-12 of the loop diameter.
+    share endpoints to within 1e-12 of the loop diameter.  The checks and
+    measures are `_loop_measures` of the pieces' rows, which the loop keeps
+    with their boxes for its index.
     """
 
-    __slots__ = ("pieces", "_area", "_perimeter", "_bbox", "_index", "_turns")
+    __slots__ = ("pieces", "_area", "_perimeter", "_bbox", "_rows", "_boxes",
+                 "_index", "_turns")
 
     def __init__(self, pieces: Sequence[BoundaryPiece]):
         pieces = tuple(pieces)
-        if len(pieces) < 2:
-            raise InvalidGeometry("an arc-polygon needs at least two pieces")
-        xs, ys = [], []
-        for p in pieces:
-            x0, y0, x1, y1 = p.bbox()
-            xs += [x0, x1]
-            ys += [y0, y1]
-        diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-        if diam == 0.0:
-            raise InvalidGeometry("degenerate (zero-diameter) loop")
-        # closure roundoff scales with coordinate magnitude, not loop size
-        coord = max(abs(v) for v in xs + ys)
-        tol = max(diam, coord, 1e-9) * REL_TOL * 16.0
-        n = len(pieces)
-        for i in range(n):
-            gap = pieces[i].end.distance(pieces[(i + 1) % n].start)
-            if gap > tol:
-                raise InvalidGeometry(
-                    f"loop not closed at junction {i}: gap {gap:.3e} exceeds {tol:.3e}")
-        a = _signed_area(pieces)
-        if a < 0.0:
+        rows = tuple(map(_piece_row, pieces))
+        a, perimeter, boxes, bbox, clockwise = _loop_measures(rows)
+        if clockwise:
             pieces = tuple(p.reversed() for p in reversed(pieces))
-            a = -a
-        perimeter = sum(p.length for p in pieces)
-        if not (math.isfinite(a) and math.isfinite(perimeter)):
-            raise InvalidGeometry(
-                f"loop measures overflow: area {a}, perimeter {perimeter}")
-        eps = diam * REL_TOL
-        if a <= eps * eps:  # eps ** 2 would raise OverflowError on huge loops
-            raise InvalidGeometry("loop encloses no area")
+            rows = tuple(map(_piece_row, pieces))
+            boxes = [_row_box(*row) for row in rows]
         self.pieces = pieces
         self._area = a
         self._perimeter = perimeter
-        self._bbox = (min(xs), min(ys), max(xs), max(ys))
+        self._bbox = bbox
+        self._rows = rows
+        self._boxes = tuple(boxes)
         self._index = None  # filled by _piece_index
         self._turns = None  # filled by junction_turns
 
@@ -337,31 +313,77 @@ class ArcPolygon:
         return f"ArcPolygon({len(self.pieces)} pieces, area={self._area:.6g})"
 
 
-def _signed_area(pieces: Sequence[BoundaryPiece]) -> float:
-    # Each junction enters once, as the midpoint of the end of one piece and
-    # the start of the next.  The two copies differ by up to coordinate*eps,
-    # and each piece would multiply its copy's error by its lever arm to the
-    # anchor.  Anchor at the first junction; the integral is translation
-    # invariant and local coordinates avoid cancellation on small
-    # far-from-origin loops.
-    n = len(pieces)
-    xs, ys = [], []
+def _loop_measures(rows: Sequence[tuple]) -> tuple:
+    """Validate and measure a closed loop of piece rows (_piece_row).
+
+    Returns (area, perimeter, boxes, bbox, clockwise): the enclosed area,
+    the perimeter summed along the counterclockwise sense, each piece's box
+    (_row_box), the loop's box, and whether the rows run clockwise, in
+    which case the area and perimeter are those of the reversed loop.
+    Raises InvalidGeometry for fewer than two pieces, a zero diameter, a
+    junction gap above 16 * 1e-12 of the loop's coordinates or diameter,
+    non-finite measures, or no enclosed area.
+
+    The area is Green's theorem with a circular-segment term per arc.  Each
+    junction enters once, as the midpoint of the end of one piece and the
+    start of the next.  The two copies differ by up to coordinate*eps, and
+    each piece would multiply its copy's error by its lever arm to the
+    anchor.  Anchor at the first junction; the integral is translation
+    invariant and local coordinates avoid cancellation on small
+    far-from-origin loops.
+    """
+    n = len(rows)
+    if n < 2:
+        raise InvalidGeometry("an arc-polygon needs at least two pieces")
+    boxes = [_row_box(is_arc, v) for is_arc, v in rows]
+    xs = [x for box in boxes for x in (box[0], box[2])]
+    ys = [y for box in boxes for y in (box[1], box[3])]
+    diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    if diam == 0.0:
+        raise InvalidGeometry("degenerate (zero-diameter) loop")
+    # closure roundoff scales with coordinate magnitude, not loop size
+    coord = max(map(abs, xs + ys))
+    tol = max(diam, coord, 1e-9) * REL_TOL * 16.0
     for i in range(n):
-        e, s = pieces[i - 1].end, pieces[i].start
-        xs.append(e.x + 0.5 * (s.x - e.x))
-        ys.append(e.y + 0.5 * (s.y - e.y))
-    x0, y0 = xs[0], ys[0]
-    total = 0.0
-    for i, p in enumerate(pieces):
-        ax, ay = xs[i] - x0, ys[i] - y0
-        bx, by = xs[(i + 1) % n] - x0, ys[(i + 1) % n] - y0
-        if isinstance(p, Segment):
-            total += 0.5 * (ax * by - ay * bx)
+        e = rows[i][1]
+        s = rows[(i + 1) % n][1]
+        gap = math.hypot(e[2] - s[0], e[3] - s[1])
+        if gap > tol:
+            raise InvalidGeometry(
+                f"loop not closed at junction {i}: gap {gap:.3e} exceeds {tol:.3e}")
+    mxs, mys = [], []
+    for i in range(n):
+        e = rows[i - 1][1]
+        s = rows[i][1]
+        mxs.append(e[2] + 0.5 * (s[0] - e[2]))
+        mys.append(e[3] + 0.5 * (s[1] - e[3]))
+    x0, y0 = mxs[0], mys[0]
+    a = 0.0
+    lengths = []
+    for i, (is_arc, v) in enumerate(rows):
+        ax, ay = mxs[i] - x0, mys[i] - y0
+        bx, by = mxs[(i + 1) % n] - x0, mys[(i + 1) % n] - y0
+        if is_arc:
+            radius, sweep = v[6], v[9]
+            cx, cy = v[4] - x0, v[5] - y0
+            a += 0.5 * (radius * radius * (sweep if v[7] else -sweep)
+                        + cx * (by - ay) - cy * (bx - ax))
+            lengths.append(radius * sweep)
         else:
-            cx, cy = p.center.x - x0, p.center.y - y0
-            total += 0.5 * (p.radius * p.radius * p.signed_sweep
-                            + cx * (by - ay) - cy * (bx - ax))
-    return total
+            a += 0.5 * (ax * by - ay * bx)
+            lengths.append(math.hypot(v[0] - v[2], v[1] - v[3]))
+    clockwise = a < 0.0
+    if clockwise:
+        a = -a
+        lengths.reverse()
+    perimeter = sum(lengths)
+    if not (math.isfinite(a) and math.isfinite(perimeter)):
+        raise InvalidGeometry(
+            f"loop measures overflow: area {a}, perimeter {perimeter}")
+    eps = diam * REL_TOL
+    if a <= eps * eps:  # eps ** 2 would raise OverflowError on huge loops
+        raise InvalidGeometry("loop encloses no area")
+    return a, perimeter, boxes, (min(xs), min(ys), max(xs), max(ys)), clockwise
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +392,54 @@ def _signed_area(pieces: Sequence[BoundaryPiece]) -> float:
 
 def _piece_row(q: BoundaryPiece) -> tuple:
     """One piece as plain floats: (is_arc, values).  Segment values are
-    start, end, end - start and |end - start|^2; arc values are start, end,
-    center, radius, ccw, start angle and sweep."""
+    start, end, end - start and |end - start|^2 (_segment_row); arc values
+    are start, end, center, radius, ccw, start angle and sweep."""
     sx, sy, ex, ey = q.start.x, q.start.y, q.end.x, q.end.y
     if isinstance(q, Segment):
-        dx, dy = ex - sx, ey - sy
-        return False, (sx, sy, ex, ey, dx, dy, dx * dx + dy * dy)
+        return _segment_row(sx, sy, ex, ey)
     return True, (sx, sy, ex, ey, q.center.x, q.center.y, q.radius, q.ccw,
                   q.start_angle, q.sweep)
+
+
+def _segment_row(sx: float, sy: float, ex: float, ey: float) -> tuple:
+    dx, dy = ex - sx, ey - sy
+    return False, (sx, sy, ex, ey, dx, dy, dx * dx + dy * dy)
+
+
+def _row_piece(is_arc: bool, v: tuple) -> BoundaryPiece:
+    """The piece a _piece_row describes."""
+    if is_arc:
+        return Arc(Vec2(v[0], v[1]), Vec2(v[2], v[3]), Vec2(v[4], v[5]), v[6],
+                   v[7], v[9])
+    return Segment(Vec2(v[0], v[1]), Vec2(v[2], v[3]))
+
+
+def _row_box(is_arc: bool, v: tuple) -> tuple:
+    """(x0, y0, x1, y1) of a piece row: its ends and, for an arc, each
+    axis-extreme point of its circle that lies on it (_on_arc, inlined:
+    every loop check and measure computes these boxes)."""
+    if not is_arc:
+        # min and max of two, spelled out as the builtins decide them
+        sx, sy, ex, ey = v[0], v[1], v[2], v[3]
+        return (ex if ex < sx else sx, ey if ey < sy else sy,
+                ex if ex > sx else sx, ey if ey > sy else sy)
+    sx, sy, ex, ey, cx, cy, radius, ccw, a0, sweep = v
+    xs = [sx, ex]
+    ys = [sy, ey]
+    upto = sweep + ARC_END_SLACK
+    for phi, cos, sin in _QUARTER_TURNS:
+        off = (phi - a0) % TAU if ccw else (a0 - phi) % TAU
+        if off <= upto or off >= TAU - ARC_END_SLACK:
+            xs.append(cx + cos * radius)
+            ys.append(cy + sin * radius)
+    return (min(xs), min(ys), max(xs), max(ys))
 
 
 def _piece_index(p: ArcPolygon) -> tuple:
     """The loop's index, built on first use: (rows, boxes, nodes).
 
-    rows[i] is pieces[i] as a _piece_row and boxes[i] is pieces[i].bbox().
+    rows[i] is pieces[i] as a _piece_row and boxes[i] its _row_box, both
+    kept from construction.
     nodes[k] = (x0, y0, x1, y1, lo, hi) bounds pieces lo..hi-1; its children
     2k+1 and 2k+2 halve the run, down to single pieces, and unused numbers
     hold None.  Consecutive pieces are neighbours in the plane, so the runs
@@ -402,7 +458,7 @@ def _piece_index(p: ArcPolygon) -> tuple:
     index = p._index
     if index is None:
         base = 1e-9 * (max(map(abs, p._bbox)) + p.diameter)
-        boxes = tuple(q.bbox() for q in p.pieces)
+        boxes = p._boxes
         nodes: list = [None] * (4 * len(boxes))
 
         def fill(k: int, lo: int, hi: int) -> tuple:
@@ -424,8 +480,7 @@ def _piece_index(p: ArcPolygon) -> tuple:
         fill(0, 0, len(boxes))
         while nodes[-1] is None:
             nodes.pop()
-        index = p._index = (tuple(map(_piece_row, p.pieces)), boxes,
-                            tuple(nodes))
+        index = p._index = (p._rows, boxes, tuple(nodes))
     return index
 
 

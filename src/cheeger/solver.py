@@ -5,9 +5,10 @@ from the boundary.  Its area is strictly decreasing in r while pi*r^2 is
 increasing, so the inner Cheeger formula  area(E_r) = pi*r^2  has a unique
 root, found by safeguarded Newton steps on the exact derivative
 -perimeter(E_r) - 2*pi*r; the Cheeger set is the outward offset E_r + B_r
-and h = 1/r.  The same solve serves convex regions (`convex`).  An
-independent grid scan of the Cheeger ratio over the same one-parameter
-family serves as a cross-check oracle.
+and h = 1/r.  A strip's trial depths read area and perimeter from the float
+rows of E_r, and E_r is built once, at the root.  The same solve serves
+convex regions (`convex`).  An independent grid scan of the Cheeger ratio
+over the same one-parameter family serves as a cross-check oracle.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from typing import Callable, List, Optional, Tuple
 from . import geom
 from .errors import (DegenerateInnerSet, DomainError, EmptyInnerSet, NoRoot,
                      PropertyViolation)
-from .geom import Arc, ArcPolygon, Segment, Vec2
-from .spine import Strip, _level_rows, _require_finite, chain_pieces
+from .geom import Arc, ArcPolygon, Vec2
+from .spine import Strip, _level_rows, _require_finite, _sub_rows
 
 RESIDUAL_TOL = 1e-10  # largest |f(r)| / (pi*r^2) accepted at the root
 MAX_ITERATIONS = 200
@@ -50,11 +51,11 @@ class CheegerSolution:
 # inner sets of strips
 
 
-def _chain_line_crossings(rows, anchor: Vec2, normal: Vec2, offset: float
-                          ) -> List[float]:
-    """Spine parameters where the level rows cross {(x-anchor).normal = offset}."""
+def _chain_line_crossings(rows, line: tuple, offset: float) -> List[float]:
+    """Spine parameters where the level rows cross {(x-a).u = offset}, for
+    a line (ax, ay, ux, uy) of `Strip._ends`."""
     ts: List[float] = []
-    ax, ay, nx, ny = anchor.x, anchor.y, normal.x, normal.y
+    ax, ay, nx, ny = line
     # a point of the line and its direction
     tx = ax + nx * offset
     ty = ay + ny * offset
@@ -84,13 +85,14 @@ def _chain_line_crossings(rows, anchor: Vec2, normal: Vec2, offset: float
     return ts
 
 
-def inner_set(st: Strip, r: float) -> ArcPolygon:
-    """Region of the strip at distance >= r from its boundary.
+def _inner_rows(st: Strip, r: float) -> List[tuple]:
+    """E_r as piece rows (`geom._piece_row`), in the order of its loop.
 
     Bounded by the two parallel curves at levels +-(s-r) and two trim
     segments parallel to the end segments at depth r.  The parallel curves
-    are float rows (`spine._level_rows`); the trims are found on the rows,
-    and each piece of the set is built once, by `chain_pieces`.
+    are float rows (`spine._level_rows`), the trims are found on them, and
+    `spine._sub_rows` cuts the pieces, so no piece is built.  Raises what
+    building the pieces would raise, at the same piece.
     """
     s = st.halfwidth
     if r >= s:
@@ -101,19 +103,16 @@ def inner_set(st: Strip, r: float) -> ArcPolygon:
     L = spine.length
     lo_chain = _level_rows(spine, -(s - r))
     hi_chain = _level_rows(spine, s - r)
-    u_left = spine.direction(0.0)
-    a_left = spine.point(0.0)
-    u_right = -spine.direction(L)
-    a_right = spine.point(L)
+    left, right = st._ends
 
     def first_cross(chain) -> float:
-        ts = _chain_line_crossings(chain, a_left, u_left, r)
+        ts = _chain_line_crossings(chain, left, r)
         if not ts:
             raise DegenerateInnerSet("no left trim crossing at this depth")
         return min(ts)
 
     def last_cross(chain) -> float:
-        ts = _chain_line_crossings(chain, a_right, u_right, r)
+        ts = _chain_line_crossings(chain, right, r)
         if not ts:
             raise DegenerateInnerSet("no right trim crossing at this depth")
         return max(ts)
@@ -123,36 +122,53 @@ def inner_set(st: Strip, r: float) -> ArcPolygon:
     if tl_lo >= tr_lo or tl_hi >= tr_hi:
         raise DegenerateInnerSet(
             f"end trims cross at depth {r} (strip too short)")
-    bottom = chain_pieces(lo_chain, tl_lo, tr_lo)
-    top = chain_pieces(hi_chain, tl_hi, tr_hi, reverse=True)
+    bottom = _sub_rows(lo_chain, tl_lo, tr_lo)
+    top = _sub_rows(hi_chain, tl_hi, tr_hi, reverse=True)
     if not bottom or not top:
         raise DegenerateInnerSet(
             f"a trimmed level curve is empty at depth {r} (strip too short)")
-    p_br = bottom[-1].end
-    p_tr = top[0].start
-    p_tl = top[-1].end
-    p_bl = bottom[0].start
+    brx, bry = bottom[-1][1][2:4]
+    trx, tr_y = top[0][1][:2]
+    tlx, tly = top[-1][1][2:4]
+    blx, bly = bottom[0][1][:2]
     min_len = 1e-12 * max(L, 1.0)
-    if p_br.distance(p_tr) <= min_len or p_tl.distance(p_bl) <= min_len:
+    if (math.hypot(brx - trx, bry - tr_y) <= min_len
+            or math.hypot(tlx - blx, tly - bly) <= min_len):
         raise DegenerateInnerSet(f"trim segment degenerates at depth {r}")
-    return ArcPolygon(bottom + [Segment(p_br, p_tr)] + top
-                      + [Segment(p_tl, p_bl)])
+    return (bottom + [geom._segment_row(brx, bry, trx, tr_y)] + top
+            + [geom._segment_row(tlx, tly, blx, bly)])
+
+
+def _inner_measures(st: Strip, r: float) -> Tuple[float, float]:
+    """(area, perimeter) of inner_set(st, r), bit for bit, with its errors,
+    measured on the rows without building the set."""
+    area, perimeter, _, _, _ = geom._loop_measures(_inner_rows(st, r))
+    return area, perimeter
+
+
+def inner_set(st: Strip, r: float) -> ArcPolygon:
+    """Region of the strip at distance >= r from its boundary: the loop of
+    `_inner_rows`, each piece built once."""
+    return ArcPolygon([geom._row_piece(*row) for row in _inner_rows(st, r)])
 
 
 # ---------------------------------------------------------------------------
 # root solve
 
 
-def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
+def _solve_inner_formula(measure: Callable[[float], Tuple[float, float]],
+                         build: Callable[[float], ArcPolygon], lo: float,
                          hi: float, reach_bound: Optional[float] = None
                          ) -> CheegerSolution:
-    """Solve area(inner(r)) = pi*r^2 on (lo, hi) and offset E_r back by r.
+    """Solve area(E_r) = pi*r^2 on (lo, hi) and offset E_r back by r.
 
+    `measure(r)` gives (area, perimeter) of the inner set E_r, and
+    `build(r)` the set itself; it is called once, at the root.
     f(r) = area(E_r) - pi*r^2 has the exact derivative
     f'(r) = -perimeter(E_r) - 2*pi*r (coarea formula), so the root is found
     by Newton steps from `lo`, safeguarded as in Brent (1973): a step that
     leaves the current sign-change bracket, or starts from an infeasible
-    depth, is replaced by the bracket midpoint.  Depths where inner(r) is
+    depth, is replaced by the bracket midpoint.  Depths where E_r is
     degenerate or empty count as f = -inf.  The solve stops once the bracket
     is narrower than 1e-13*hi, or once |f| <= RESIDUAL_TOL*pi*r^2 and the
     next Newton step would move r by at most 1e-13*r.  A solve that ends
@@ -162,15 +178,15 @@ def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
     offset under `reach_bound`.
     """
 
-    def f(r: float) -> Tuple[Optional[ArcPolygon], float, float]:
+    def f(r: float) -> Tuple[float, float]:
         try:
-            e = inner(r)
+            area, perimeter = measure(r)
         except (DegenerateInnerSet, EmptyInnerSet):
-            return None, -math.inf, math.nan
-        return e, e.area - math.pi * r * r, -e.perimeter - 2.0 * math.pi * r
+            return -math.inf, math.nan
+        return area - math.pi * r * r, -perimeter - 2.0 * math.pi * r
 
-    e_r, val, slope = f(lo)
-    f_hi = f(hi)[1]
+    val, slope = f(lo)
+    f_hi = f(hi)[0]
     if not (val > 0.0 and f_hi < 0.0):
         raise NoRoot(
             f"no sign change on ({lo}, {hi}): f={val:.3e}, {f_hi:.3e}")
@@ -179,7 +195,7 @@ def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
         r = r - val / slope if math.isfinite(val) else math.nan
         if not lo < r < hi:
             r = 0.5 * (lo + hi)
-        e_r, val, slope = f(r)
+        val, slope = f(r)
         iterations += 1
         if val > 0.0:
             lo = r
@@ -192,6 +208,7 @@ def _solve_inner_formula(inner: Callable[[float], ArcPolygon], lo: float,
             break
     if f_hi == -math.inf and abs(val) > RESIDUAL_TOL * math.pi * r * r:
         raise NoRoot(f"the sign change at depth {r} borders infeasible depths")
+    e_r = build(r)
     cheeger = geom.offset_outward_disk(e_r, r, reach_bound)
     return CheegerSolution(r=r, h=1.0 / r, inner_set=e_r, cheeger_set=cheeger,
                            residual=abs(val), iterations=iterations)
@@ -216,7 +233,8 @@ def solve_strip(st: Strip, allow_short: bool = False) -> CheegerSolution:
         warnings.append(
             "uncertified: normalized length below 9*pi/2, the four-arc "
             "structure and uniqueness are not guaranteed")
-    sol = _solve_inner_formula(lambda r: inner_set(st, r), 1e-9 * s,
+    sol = _solve_inner_formula(lambda r: _inner_measures(st, r),
+                               lambda r: inner_set(st, r), 1e-9 * s,
                                s * (1.0 - 1e-9))
     bounds = StripBounds(krepra_lower=(1.0 + 1.0 / (400.0 * L_norm)) / s,
                          krepra_upper=(1.0 + 2.0 / L_norm) / s,
@@ -232,31 +250,31 @@ def ratio_scan_oracle(domain) -> Tuple[float, float]:
     """Minimize the Cheeger ratio of the inner-offset family on an r grid.
 
     The family member at depth r is E_r + B_r; its measures come from the
-    Steiner identities applied to the inner set, so this path never touches
-    the root solver.  The grid is refined twice around the minimum.
-    Accepts a Strip or a ConvexRegion.
+    Steiner identities applied to the inner set's area and perimeter, so
+    this path never touches the root solver.  The grid is refined twice
+    around the minimum.  Accepts a Strip or a ConvexRegion.
     """
     from .convex import ConvexRegion, inner_parallel_body
 
     if isinstance(domain, Strip):
         hi = domain.halfwidth * (1.0 - 1e-9)
 
-        def inner(r: float) -> ArcPolygon:
-            return inner_set(domain, r)
+        def measure(r: float) -> Tuple[float, float]:
+            return _inner_measures(domain, r)
     elif isinstance(domain, ConvexRegion):
         hi = math.sqrt(domain.region.area / math.pi)
 
-        def inner(r: float) -> ArcPolygon:
-            return inner_parallel_body(domain, r).region
+        def measure(r: float) -> Tuple[float, float]:
+            e = inner_parallel_body(domain, r).region
+            return e.area, e.perimeter
     else:
         raise DomainError(f"cannot scan a {type(domain).__name__}")
 
     def q(r: float) -> float:
         try:
-            e = inner(r)
+            a, p = measure(r)
         except (DegenerateInnerSet, EmptyInnerSet):
             return math.inf
-        a, p = e.area, e.perimeter
         return (p + 2.0 * math.pi * r) / (a + r * p + math.pi * r * r)
 
     lo = hi * 1e-6

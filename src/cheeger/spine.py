@@ -159,6 +159,17 @@ class Strip:
     spine: Spine
     halfwidth: float
     boundary: ArcPolygon
+    # (x, y, ux, uy) at each end: the spine point and the unit direction
+    # into the strip, at t = 0 and at t = L
+    _ends: tuple = field(init=False, repr=False, compare=False, default=())
+
+    def __post_init__(self) -> None:
+        sp = self.spine
+        L = sp.length
+        a, u = sp.point(0.0), sp.direction(0.0)
+        b, w = sp.point(L), -sp.direction(L)
+        object.__setattr__(self, "_ends", ((a.x, a.y, u.x, u.y),
+                                           (b.x, b.y, w.x, w.y)))
 
     @property
     def length(self) -> float:
@@ -310,18 +321,20 @@ def level_chain(spine: Spine, level: float) -> List[Tuple[BoundaryPiece, float, 
     return out
 
 
-def chain_pieces(rows: Sequence[LevelRow], t_from: float, t_to: float,
-                 reverse: bool = False) -> List[BoundaryPiece]:
+def _sub_rows(rows: Sequence[LevelRow], t_from: float, t_to: float,
+              reverse: bool = False) -> List[tuple]:
     """The sub-chain of level rows covering [t_from, t_to], optionally
-    reversed.
+    reversed, as piece rows (`geom._piece_row`).
 
     Each sub-piece is computed on its row's floats, as `subpiece` of the
-    row's piece would compute it, and built once, already reversed when
-    `reverse` is set; the pieces are built in chain order either way.
+    row's piece would compute it.  The rows are made in chain order either
+    way, and each makes the checks its Vec2 and Arc or Segment constructors
+    would make, in their order, with the same exception type and message;
+    a reversed sub-piece is made already reversed.
     """
     if not t_from < t_to:
         raise DomainError("empty parameter range")
-    pieces: List[BoundaryPiece] = []
+    out: List[tuple] = []
     for is_arc, t0, t1, v in rows:
         lo = max(t0, t_from)
         hi = min(t1, t_to)
@@ -334,26 +347,49 @@ def chain_pieces(rows: Sequence[LevelRow], t_from: float, t_to: float,
             a0 = a + sweep * u0
             sub = sweep * (u1 - u0)
             a1 = a0 + sub
-            start = Vec2(cx + math.cos(a0) * radius, cy + math.sin(a0) * radius)
-            end = Vec2(cx + math.cos(a1) * radius, cy + math.sin(a1) * radius)
+            x0, y0 = cx + math.cos(a0) * radius, cy + math.sin(a0) * radius
+            x1, y1 = cx + math.cos(a1) * radius, cy + math.sin(a1) * radius
+            if not math.isfinite(x0 + y0 + x1 + y1 + cx + cy):
+                _require_finite(x0, y0, x1, y1, cx, cy)
+            if not (radius > 0.0 and math.isfinite(radius)):
+                raise InvalidGeometry(f"arc radius must be positive, got {radius}")
+            span = abs(sub)
+            if not 0.0 < span < geom.TAU:
+                raise InvalidGeometry(
+                    f"arc sweep must lie in (0, 2*pi), got {span}")
+            tol = 1e-12 * (radius + abs(cx) + abs(cy) + 1.0)
+            if (abs(math.hypot(x0 - cx, y0 - cy) - radius) > tol
+                    or abs(math.hypot(x1 - cx, y1 - cy) - radius) > tol):
+                raise InvalidGeometry("arc endpoint does not lie on its circle")
             if reverse:
-                pieces.append(Arc(end, start, Vec2(cx, cy), radius,
-                                  sub < 0.0, abs(sub)))
-            else:
-                pieces.append(Arc(start, end, Vec2(cx, cy), radius,
-                                  sub > 0.0, abs(sub)))
+                x0, y0, x1, y1 = x1, y1, x0, y0
+            out.append((True, (x0, y0, x1, y1, cx, cy, radius,
+                               (sub < 0.0) if reverse else (sub > 0.0),
+                               math.atan2(y0 - cy, x0 - cx), span)))
         else:
             sx, sy, ex, ey = v
             dx, dy = ex - sx, ey - sy
             if not math.isfinite(dx + dy):
                 _require_finite(dx, dy)
-            start = Vec2(sx + dx * u0, sy + dy * u0)
-            end = Vec2(sx + dx * u1, sy + dy * u1)
-            pieces.append(Segment(end, start) if reverse
-                          else Segment(start, end))
+            x0, y0 = sx + dx * u0, sy + dy * u0
+            x1, y1 = sx + dx * u1, sy + dy * u1
+            if not math.isfinite(x0 + y0 + x1 + y1):
+                _require_finite(x0, y0, x1, y1)
+            if math.hypot(x0 - x1, y0 - y1) == 0.0:
+                raise InvalidGeometry("zero-length segment")
+            out.append(geom._segment_row(x1, y1, x0, y0) if reverse
+                       else geom._segment_row(x0, y0, x1, y1))
     if reverse:
-        pieces.reverse()
-    return pieces
+        out.reverse()
+    return out
+
+
+def chain_pieces(rows: Sequence[LevelRow], t_from: float, t_to: float,
+                 reverse: bool = False) -> List[BoundaryPiece]:
+    """The sub-chain of level rows covering [t_from, t_to], optionally
+    reversed: the pieces of `_sub_rows`, each built once."""
+    return [geom._row_piece(*row)
+            for row in _sub_rows(rows, t_from, t_to, reverse)]
 
 
 def build_strip(spine: Spine, halfwidth: float) -> Strip:

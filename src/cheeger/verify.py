@@ -169,25 +169,31 @@ def _turn_rank(d: Tuple[int, int], fwd: Tuple[int, int],
     return 2
 
 
-def _simplify(points: List[Vec2], eps: float) -> List[Vec2]:
-    """Douglas-Peucker on an open polyline, endpoints kept."""
+def _simplify(points: List[Tuple[float, float]], eps: float
+              ) -> List[Tuple[float, float]]:
+    """Douglas-Peucker on an open polyline of (x, y) pairs, endpoints
+    kept."""
     n = len(points)
     if n <= 2:
         return points
     keep = [False] * n
     keep[0] = keep[-1] = True
     stack = [(0, n - 1)]
+    hypot = math.hypot
     while stack:
         i0, i1 = stack.pop()
         if i1 - i0 < 2:
             continue
-        a, b = points[i0], points[i1]
-        ab = b - a
-        ab_len = ab.norm()
+        ax, ay = points[i0]
+        bx, by = points[i1]
+        abx, aby = bx - ax, by - ay
+        ab_len = hypot(abx, aby)
         worst, worst_i = -1.0, -1
         for i in range(i0 + 1, i1):
-            v = points[i] - a
-            d = abs(ab.cross(v)) / ab_len if ab_len > 0 else v.norm()
+            px, py = points[i]
+            vx, vy = px - ax, py - ay
+            d = abs(abx * vy - aby * vx) / ab_len if ab_len > 0 \
+                else hypot(vx, vy)
             if d > worst:
                 worst, worst_i = d, i
         if worst > eps:
@@ -195,6 +201,16 @@ def _simplify(points: List[Vec2], eps: float) -> List[Vec2]:
             stack.append((i0, worst_i))
             stack.append((worst_i, i1))
     return [points[i] for i in range(n) if keep[i]]
+
+
+def _polyline_length(pts: List[Tuple[float, float]], closed: bool) -> float:
+    """Sum of the point-to-point distances, in order, round to the first
+    point when `closed`."""
+    n = len(pts)
+    hypot = math.hypot
+    return sum(hypot(pts[k][0] - pts[(k + 1) % n][0],
+                     pts[k][1] - pts[(k + 1) % n][1])
+               for k in range(n if closed else n - 1))
 
 
 def grid_perimeter(m: GridMask) -> float:
@@ -210,21 +226,20 @@ def grid_perimeter(m: GridMask) -> float:
         raise EmptyRegion("mask holds no set cells")
     total = 0.0
     for loop in _boundary_loops(m.bits):
-        pts = [Vec2(float(i), float(j)) for i, j in loop]
-        raw_len = sum(pts[k].distance(pts[(k + 1) % len(pts)])
-                      for k in range(len(pts)))
+        pts = [(float(i), float(j)) for i, j in loop]
+        raw_len = _polyline_length(pts, closed=True)
         eps = min(2.0, raw_len / 20.0)
         # split the closed loop at two far-apart anchors
-        far = max(range(len(pts)), key=lambda k: pts[k].distance(pts[0]))
+        x0, y0 = pts[0]
+        far = max(range(len(pts)),
+                  key=lambda k: math.hypot(pts[k][0] - x0, pts[k][1] - y0))
         if far == 0:
             total += raw_len * m.cell
             continue
         half1 = _simplify(pts[:far + 1], eps)
         half2 = _simplify(pts[far:] + [pts[0]], eps)
-        length = sum(half1[k].distance(half1[k + 1])
-                     for k in range(len(half1) - 1))
-        length += sum(half2[k].distance(half2[k + 1])
-                      for k in range(len(half2) - 1))
+        length = _polyline_length(half1, closed=False)
+        length += _polyline_length(half2, closed=False)
         total += length * m.cell
     return total
 

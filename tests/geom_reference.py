@@ -13,6 +13,15 @@ The inner parallel body of a convex region is kept here as the loop that
 rebuilds every junction after each collapsed support, which
 `convex.inner_parallel_body` must match bit for bit.
 
+An `ArcPolygon` is validated and measured here as it was on its pieces:
+`loop_measures` takes every piece box, the diameter, the closure gaps and
+`signed_area` on the pieces, reversing a clockwise loop before summing its
+perimeter.  `geom._loop_measures` does this on piece rows, for
+`ArcPolygon` and for the strip inner sets the solver only measures.
+
+The raster contour length is kept here on `Vec2` points (`grid_perimeter`,
+`simplify`); `verify.grid_perimeter` computes it on float pairs.
+
 The strip chain is kept here as it was written with pieces: `level_chain`
 builds an `Arc` or `Segment` per spine piece, `chain_pieces` rebuilds each
 through `subpiece` and reverses it in a second pass, and `inner_set` and
@@ -29,8 +38,9 @@ from typing import List, Optional, Sequence, Tuple
 from cheeger import geom
 from cheeger.convex import ConvexRegion, _Support, _support_vertex
 from cheeger.errors import (BallNotContained, DegenerateInnerSet,
-                            DomainError, EmptyInnerSet, InvalidGeometry,
-                            NotADiffeomorphism, SelfIntersecting)
+                            DomainError, EmptyInnerSet, EmptyRegion,
+                            InvalidGeometry, NotADiffeomorphism,
+                            SelfIntersecting)
 from cheeger.geom import (TAU, Arc, ArcPolygon, BoundaryPiece, Segment, Vec2,
                           unit_from_angle)
 from cheeger.spine import Spine, Strip, _level_tangency_parameter
@@ -88,6 +98,125 @@ def piece_box(piece) -> tuple:
                 xs.append(p.x)
                 ys.append(p.y)
     return (min(xs), min(ys), max(xs), max(ys))
+
+
+def signed_area(pieces: Sequence[BoundaryPiece]) -> float:
+    # Each junction enters once, as the midpoint of the end of one piece and
+    # the start of the next.  The two copies differ by up to coordinate*eps,
+    # and each piece would multiply its copy's error by its lever arm to the
+    # anchor.  Anchor at the first junction; the integral is translation
+    # invariant and local coordinates avoid cancellation on small
+    # far-from-origin loops.
+    n = len(pieces)
+    xs, ys = [], []
+    for i in range(n):
+        e, s = pieces[i - 1].end, pieces[i].start
+        xs.append(e.x + 0.5 * (s.x - e.x))
+        ys.append(e.y + 0.5 * (s.y - e.y))
+    x0, y0 = xs[0], ys[0]
+    total = 0.0
+    for i, p in enumerate(pieces):
+        ax, ay = xs[i] - x0, ys[i] - y0
+        bx, by = xs[(i + 1) % n] - x0, ys[(i + 1) % n] - y0
+        if isinstance(p, Segment):
+            total += 0.5 * (ax * by - ay * bx)
+        else:
+            cx, cy = p.center.x - x0, p.center.y - y0
+            total += 0.5 * (p.radius * p.radius * p.signed_sweep
+                            + cx * (by - ay) - cy * (bx - ax))
+    return total
+
+
+def loop_measures(pieces: Sequence[BoundaryPiece]) -> tuple:
+    """(area, perimeter, pieces, bounding box) of the loop, as
+    `ArcPolygon(pieces)` computed them on the pieces; the pieces come back
+    counterclockwise."""
+    pieces = tuple(pieces)
+    if len(pieces) < 2:
+        raise InvalidGeometry("an arc-polygon needs at least two pieces")
+    xs, ys = [], []
+    for p in pieces:
+        x0, y0, x1, y1 = piece_box(p)
+        xs += [x0, x1]
+        ys += [y0, y1]
+    diam = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    if diam == 0.0:
+        raise InvalidGeometry("degenerate (zero-diameter) loop")
+    # closure roundoff scales with coordinate magnitude, not loop size
+    coord = max(abs(v) for v in xs + ys)
+    tol = max(diam, coord, 1e-9) * geom.REL_TOL * 16.0
+    n = len(pieces)
+    for i in range(n):
+        gap = pieces[i].end.distance(pieces[(i + 1) % n].start)
+        if gap > tol:
+            raise InvalidGeometry(
+                f"loop not closed at junction {i}: gap {gap:.3e} exceeds {tol:.3e}")
+    a = signed_area(pieces)
+    if a < 0.0:
+        pieces = tuple(p.reversed() for p in reversed(pieces))
+        a = -a
+    perimeter = sum(p.length for p in pieces)
+    if not (math.isfinite(a) and math.isfinite(perimeter)):
+        raise InvalidGeometry(
+            f"loop measures overflow: area {a}, perimeter {perimeter}")
+    eps = diam * geom.REL_TOL
+    if a <= eps * eps:  # eps ** 2 would raise OverflowError on huge loops
+        raise InvalidGeometry("loop encloses no area")
+    return a, perimeter, pieces, (min(xs), min(ys), max(xs), max(ys))
+
+
+def simplify(points: List[Vec2], eps: float) -> List[Vec2]:
+    """Douglas-Peucker on an open polyline, endpoints kept."""
+    n = len(points)
+    if n <= 2:
+        return points
+    keep = [False] * n
+    keep[0] = keep[-1] = True
+    stack = [(0, n - 1)]
+    while stack:
+        i0, i1 = stack.pop()
+        if i1 - i0 < 2:
+            continue
+        a, b = points[i0], points[i1]
+        ab = b - a
+        ab_len = ab.norm()
+        worst, worst_i = -1.0, -1
+        for i in range(i0 + 1, i1):
+            v = points[i] - a
+            d = abs(ab.cross(v)) / ab_len if ab_len > 0 else v.norm()
+            if d > worst:
+                worst, worst_i = d, i
+        if worst > eps:
+            keep[worst_i] = True
+            stack.append((i0, worst_i))
+            stack.append((worst_i, i1))
+    return [points[i] for i in range(n) if keep[i]]
+
+
+def grid_perimeter(m) -> float:
+    """`verify.grid_perimeter` on Vec2 points, over the same contour loops."""
+    from cheeger import verify
+
+    if m.count == 0:
+        raise EmptyRegion("mask holds no set cells")
+    total = 0.0
+    for loop in verify._boundary_loops(m.bits):
+        pts = [Vec2(float(i), float(j)) for i, j in loop]
+        raw_len = sum(pts[k].distance(pts[(k + 1) % len(pts)])
+                      for k in range(len(pts)))
+        eps = min(2.0, raw_len / 20.0)
+        far = max(range(len(pts)), key=lambda k: pts[k].distance(pts[0]))
+        if far == 0:
+            total += raw_len * m.cell
+            continue
+        half1 = simplify(pts[:far + 1], eps)
+        half2 = simplify(pts[far:] + [pts[0]], eps)
+        length = sum(half1[k].distance(half1[k + 1])
+                     for k in range(len(half1) - 1))
+        length += sum(half2[k].distance(half2[k + 1])
+                      for k in range(len(half2) - 1))
+        total += length * m.cell
+    return total
 
 
 def line_circle(p0: Vec2, d: Vec2, center: Vec2, radius: float) -> list:
@@ -425,7 +554,12 @@ def _chain_line_crossings(chain, anchor: Vec2, normal: Vec2, offset: float
 
 
 def inner_set(st: Strip, r: float) -> ArcPolygon:
-    """Region of the strip at distance >= r from its boundary.
+    """Region of the strip at distance >= r from its boundary."""
+    return ArcPolygon(inner_set_pieces(st, r))
+
+
+def inner_set_pieces(st: Strip, r: float) -> List[BoundaryPiece]:
+    """The pieces of the strip's inner set at depth r, in loop order.
 
     Bounded by the two parallel curves at levels +-(s-r) and two trim
     segments parallel to the end segments at depth r.
@@ -470,8 +604,7 @@ def inner_set(st: Strip, r: float) -> ArcPolygon:
     min_len = 1e-12 * max(L, 1.0)
     if p_br.distance(p_tr) <= min_len or p_tl.distance(p_bl) <= min_len:
         raise DegenerateInnerSet(f"trim segment degenerates at depth {r}")
-    return ArcPolygon(bottom + [Segment(p_br, p_tr)] + top
-                      + [Segment(p_tl, p_bl)])
+    return bottom + [Segment(p_br, p_tr)] + top + [Segment(p_tl, p_bl)]
 
 
 def ball_to_ball_path(st: Strip, r: float, x0: Vec2, x1: Vec2

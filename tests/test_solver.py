@@ -124,10 +124,20 @@ def shrinking_disks(R: float, rate: float = 1.0, cut: float = math.inf,
     return inner
 
 
+def solve_family(inner, lo: float, hi: float):
+    """_solve_inner_formula on a family of inner sets, each measured and
+    built by one call of `inner`."""
+
+    def measure(r: float):
+        e = inner(r)
+        return e.area, e.perimeter
+
+    return solver._solve_inner_formula(measure, inner, lo, hi, math.inf)
+
+
 def test_newton_solves_linear_formula_in_one_step():
     R = 0.25
-    sol = solver._solve_inner_formula(shrinking_disks(R), 1e-12 * R, R,
-                                      math.inf)
+    sol = solve_family(shrinking_disks(R), 1e-12 * R, R)
     assert sol.iterations == 1
     assert sol.r == pytest.approx(0.5 * R, rel=1e-15)
 
@@ -140,7 +150,7 @@ def test_newton_step_onto_empty_depth_falls_back_to_midpoint():
     evaluated = []
     inner = shrinking_disks(R, rate=3.0, cut=root * (1.0 + 1e-3),
                             evaluated=evaluated)
-    sol = solver._solve_inner_formula(inner, 1e-9, 0.6 * R, math.inf)
+    sol = solve_family(inner, 1e-9, 0.6 * R)
     assert evaluated[2] > root * (1.0 + 1e-3)  # first step was infeasible
     assert evaluated[3] == pytest.approx(0.5 * (1e-9 + evaluated[2]))
     assert sol.r == pytest.approx(root, rel=1e-15)
@@ -149,23 +159,22 @@ def test_newton_step_onto_empty_depth_falls_back_to_midpoint():
 
 def test_newton_without_sign_change_raises():
     with pytest.raises(NoRoot):
-        solver._solve_inner_formula(shrinking_disks(1.0), 1e-9, 0.4, math.inf)
+        solve_family(shrinking_disks(1.0), 1e-9, 0.4)
 
 
 def test_sign_change_at_an_empty_depth_is_no_root():
     # f > 0 up to the cut at 0.3, where the family empties: the bracket
     # closes onto the cut with f = pi*(0.7^2 - 0.3^2), not onto a root
     with pytest.raises(NoRoot, match="borders infeasible depths"):
-        solver._solve_inner_formula(shrinking_disks(1.0, cut=0.3), 1e-9,
-                                    0.9, math.inf)
+        solve_family(shrinking_disks(1.0, cut=0.3), 1e-9, 0.9)
 
 
 def test_root_bordering_an_empty_depth_is_kept():
     # the family empties 1e-14 below the root R/4: the bracket closes onto
     # the cut from the feasible side, where |f| is within RESIDUAL_TOL
     cut = 0.25 * (1.0 - 1e-14)
-    sol = solver._solve_inner_formula(shrinking_disks(1.0, rate=3.0, cut=cut),
-                                      1e-9, 0.9, math.inf)
+    sol = solve_family(shrinking_disks(1.0, rate=3.0, cut=cut), 1e-9,
+                       0.9)
     assert sol.r <= cut
     assert sol.r == pytest.approx(0.25, rel=1e-13)
     assert sol.residual <= solver.RESIDUAL_TOL * math.pi * sol.r ** 2
@@ -173,8 +182,7 @@ def test_root_bordering_an_empty_depth_is_kept():
 
 def test_newton_stops_at_iteration_cap(monkeypatch):
     monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
-    sol = solver._solve_inner_formula(shrinking_disks(1.0, rate=3.0), 1e-9,
-                                      0.3, math.inf)
+    sol = solve_family(shrinking_disks(1.0, rate=3.0), 1e-9, 0.3)
     assert sol.iterations == 2
     assert sol.r != pytest.approx(0.25, rel=1e-12)
 
