@@ -251,13 +251,14 @@ def solve_convex(c: ConvexRegion) -> CheegerSolution:
     vertex and each arc floor against r (less 1e-9*scale) is a proof.
     """
     hi = math.sqrt(c.area / math.pi)
-    bodies = {}
+    last: dict = {}  # the body at the depth measured last, the root
 
     def measure(r: float) -> Tuple[float, float]:
-        body = bodies[r] = inner_parallel_body(c, r).region
+        last.clear()
+        body = last[r] = inner_parallel_body(c, r).region
         return body.area, body.perimeter
 
-    sol = _solve_inner_formula(measure, bodies.__getitem__, 1e-12 * hi, hi,
+    sol = _solve_inner_formula(measure, last.__getitem__, 1e-12 * hi, hi,
                                reach_bound=math.inf)
     # rounding in the offset grows with the coordinates, not just the size
     scale = max(c.region.diameter, 1.0,

@@ -163,7 +163,8 @@ def _solve_inner_formula(measure: Callable[[float], Tuple[float, float]],
     """Solve area(E_r) = pi*r^2 on (lo, hi) and offset E_r back by r.
 
     `measure(r)` gives (area, perimeter) of the inner set E_r, and
-    `build(r)` the set itself; it is called once, at the root.
+    `build(r)` the set itself; it is called once, at the root, which is
+    the depth measured last.
     f(r) = area(E_r) - pi*r^2 has the exact derivative
     f'(r) = -perimeter(E_r) - 2*pi*r (coarea formula), so the root is found
     by Newton steps from `lo`, safeguarded as in Brent (1973): a step that

@@ -10,7 +10,6 @@ in float.hex, and every error its type and message.
 """
 import functools
 import math
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -195,32 +194,3 @@ def test_oracle_suite_ratio_scans_are_pinned(name):
     r, q = solver.ratio_scan_oracle(spine.build_strip(ORACLE_SPINES[name](),
                                                       1.0))
     assert (r.hex(), q.hex()) == ORACLE_SCANS[name]
-
-
-def raster_masks():
-    square = geom.polygon_from_points(
-        [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
-    shapes = [square, geom.disk(Vec2(0.3, -0.2), 1.0),
-              geom.round_corners(square, 0.25), verify.stadium(3.0, 0.5),
-              solver.inner_set(ladder_strip("serpentine_k05",
-                                            verify.LADDER_LENGTHS[0]), 0.5)]
-    masks = [verify.rasterize(p, p.diameter / cells)
-             for p in shapes for cells in (100, 333)]
-    bit_rows = [[b"\1"], [bytes([1, 0]), bytes([0, 1])],
-                [bytes([0, 1, 1]), bytes([1, 0, 1]), bytes([1, 1, 0])],
-                [bytes([1, 1, 0, 0, 0, 1, 1, 1, 1])] * 2
-                + [bytes([0, 0, 0, 0, 0, 1, 1, 1, 1]), bytes(9)]]
-    # small seeded masks: loops short enough that the smoothing tolerance
-    # follows their length, with saddles and holes
-    rng = random.Random(3)
-    for size in range(3, 13):
-        bit_rows.append([bytes(rng.random() < 0.6 for _ in range(size))
-                         for _ in range(size)])
-    return masks + [verify.GridMask(cell=0.1, bits=bits) for bits in bit_rows
-                    if any(map(any, bits))]
-
-
-def test_grid_perimeter_matches_the_vec2_contour():
-    for mask in raster_masks():
-        assert verify.grid_perimeter(mask).hex() == \
-            reference.grid_perimeter(mask).hex()

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cheeger import convex, geom, spine, verify
+import geom_reference as reference
+from cheeger import convex, geom, solver, spine, verify
 from cheeger.errors import DomainError, EmptyRegion, ReachViolation
 from cheeger.geom import Vec2
 
@@ -96,6 +98,37 @@ def test_boundary_loops_trace_every_boundary_side(bits):
                         for iy in range(len(bits)) for ix in range(len(bits[0]))
                         if cell(ix, iy)
                         for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0)))
+
+
+def contour_masks():
+    square = geom.polygon_from_points(
+        [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
+    curved = spine.build_strip(spine.serpentine_spine(0.5, 4.5 * math.pi), 1.0)
+    shapes = [square, geom.disk(Vec2(0.3, -0.2), 1.0),
+              geom.round_corners(square, 0.25), verify.stadium(3.0, 0.5),
+              solver.inner_set(curved, 0.5)]
+    masks = [verify.rasterize(p, p.diameter / cells)
+             for p in shapes for cells in (100, 333)]
+    bit_rows = [[b"\1"], [bytes([1, 0]), bytes([0, 1])],
+                [bytes([0, 1, 1]), bytes([1, 0, 1]), bytes([1, 1, 0])],
+                [bytes([1, 1, 0, 0, 0, 1, 1, 1, 1])] * 2
+                + [bytes([0, 0, 0, 0, 0, 1, 1, 1, 1]), bytes(9)]]
+    # small seeded masks: loops short enough that the smoothing tolerance
+    # follows their length, with saddles and holes
+    rng = random.Random(3)
+    for size in range(3, 13):
+        bit_rows.append([bytes(rng.random() < 0.6 for _ in range(size))
+                         for _ in range(size)])
+    return masks + [verify.GridMask(cell=0.1, bits=bits) for bits in bit_rows
+                    if any(map(any, bits))]
+
+
+def test_grid_perimeter_matches_the_vec2_contour():
+    # the contour runs on float pairs; the Vec2 version in
+    # tests/geom_reference.py must give the same length bit for bit
+    for mask in contour_masks():
+        assert verify.grid_perimeter(mask).hex() == \
+            reference.grid_perimeter(mask).hex()
 
 
 def test_nothing_needs_numpy():
