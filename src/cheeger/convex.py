@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import geom
 from .errors import EmptyInnerSet, InvalidGeometry, PropertyViolation
 from .geom import Arc, ArcPolygon, Segment, Vec2
-from .roots import bisect
 from .solver import CheegerSolution, _solve_inner_formula
 
 
@@ -199,22 +198,6 @@ def inner_parallel_body(c: ConvexRegion, r: float) -> ConvexRegion:
     except InvalidGeometry as exc:
         raise EmptyInnerSet(
             f"inner parallel body degenerates at depth {r}: {exc}") from exc
-
-
-def inradius(c: ConvexRegion) -> float:
-    """Largest depth with a nonempty inner parallel body, by bisection."""
-    x0, y0, x1, y1 = c.region.bounding_box
-    hi = 0.5 * min(x1 - x0, y1 - y0) * (1.0 + 1e-9)
-
-    def feasible(r: float) -> float:
-        try:
-            inner_parallel_body(c, r)
-        except EmptyInnerSet:
-            return -1.0
-        return 1.0
-
-    lo, _ = bisect(feasible, 0.0, hi, 1e-12 * max(hi, 1.0))
-    return lo
 
 
 def _arc_depth_floor(region: ArcPolygon, a: Arc) -> float:

@@ -37,10 +37,6 @@ class NoRoot(CheegerError):
     """Root bracketing failed; no sign change on the search interval."""
 
 
-class BallNotContained(CheegerError):
-    """A requested ball is not contained in the strip."""
-
-
 class PropertyViolation(CheegerError):
     """A structural property that should hold for a solution failed."""
 

@@ -15,13 +15,11 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from . import geom
-from .convex import (ConvexRegion, convex_from_points, inner_parallel_body,
-                     solve_convex)
+from .convex import convex_from_points, inner_parallel_body, solve_convex
 from .errors import DomainError, EmptyInnerSet, PropertyViolation
 from .geom import Arc, ArcPolygon, Segment, Vec2, arc_between
 from .reporting import Check
 from .roots import bisect
-from .spine import Spine, SpinePiece, level_chain
 
 TAU = geom.TAU
 SELF_CHEEGER_GRID = 10_000  # alpha grid points of verify_self_cheeger
@@ -36,11 +34,6 @@ def pinocchio_g(theta: float) -> float:
     s, c = math.sin(theta), math.cos(theta)
     return (2.0 * (math.pi - theta) * s + 0.5 * math.pi * s * s
             - (math.pi - theta) - s * c)
-
-
-def pinocchio_g_prime(theta: float) -> float:
-    s, c = math.sin(theta), math.cos(theta)
-    return 2.0 * (math.pi - theta) * c + s * (2.0 * s + math.pi * c - 2.0)
 
 
 @lru_cache(maxsize=1)
@@ -93,25 +86,6 @@ def pinocchio_region(theta: float, alpha: float = 0.0,
         Arc.from_angles(tip, s, -0.5 * math.pi, math.pi),
         Segment(Vec2(c + nose, s), m_hi),
     ])
-
-
-def pinocchio_region_bent(theta: float, nose: float) -> ArcPolygon:
-    """Same family with the nose bent along an S-shaped spine of equal length.
-
-    The spine's curvature 0.8 times the nose radius sin(theta) stays below 1,
-    so the nose's level curves are regular."""
-    if nose <= 0.0:
-        raise DomainError("bent nose needs a positive length")
-    s, c = math.sin(theta), math.cos(theta)
-    spine = Spine((SpinePiece(0.5 * nose, 0.8), SpinePiece(0.5 * nose, -0.8)),
-                  start_point=Vec2(c, 0.0))
-    lo = [piece for piece, _, _ in level_chain(spine, -s)]
-    hi = [piece.reversed() for piece, _, _ in reversed(level_chain(spine, s))]
-    tip = spine.point(nose)
-    cap_start = tip - s * spine.normal(nose)
-    cap = arc_between(cap_start, tip + s * spine.normal(nose), tip, ccw=True)
-    big = Arc.from_angles(Vec2(0.0, 0.0), 1.0, theta, TAU - 2.0 * theta)
-    return ArcPolygon([big] + lo + [cap] + hi)
 
 
 def pinocchio_family(t: float) -> Tuple[float, float, float]:
@@ -194,41 +168,6 @@ def two_ears_theta() -> float:
     return 0.5 * (lo + hi)
 
 
-def two_ears_family(t_left: float, t_right: float
-                    ) -> Tuple[float, float, float]:
-    """(area, perimeter, ratio) after stretching the ears independently."""
-    if t_left < 0.0 or t_right < 0.0:
-        raise DomainError("ear extensions must be nonnegative")
-    th = two_ears_theta()
-    r1 = math.sin(th)
-    p0, a0 = two_ears_measures(th)
-    area = a0 + 2.0 * r1 * (t_left + t_right)
-    perim = p0 + 2.0 * (t_left + t_right)
-    return area, perim, perim / area
-
-
-def two_ears_region_stretched(t_left: float, t_right: float) -> ArcPolygon:
-    th = two_ears_theta()
-    s, c = math.sin(th), math.cos(th)
-    pieces: List = []
-    pieces.append(Segment(Vec2(c, -s), Vec2(c + t_right, -s))
-                  if t_right > 0 else None)
-    pieces.append(Arc.from_angles(Vec2(c + t_right, 0.0), s,
-                                  -0.5 * math.pi, math.pi))
-    pieces.append(Segment(Vec2(c + t_right, s), Vec2(c, s))
-                  if t_right > 0 else None)
-    pieces.append(Arc.from_angles(Vec2(0.0, 0.0), 1.0, th, math.pi - 2.0 * th))
-    pieces.append(Segment(Vec2(-c, s), Vec2(-c - t_left, s))
-                  if t_left > 0 else None)
-    pieces.append(Arc.from_angles(Vec2(-c - t_left, 0.0), s,
-                                  0.5 * math.pi, math.pi))
-    pieces.append(Segment(Vec2(-c - t_left, -s), Vec2(-c, -s))
-                  if t_left > 0 else None)
-    pieces.append(Arc.from_angles(Vec2(0.0, 0.0), 1.0, math.pi + th,
-                                  math.pi - 2.0 * th))
-    return ArcPolygon([p for p in pieces if p is not None])
-
-
 # ---------------------------------------------------------------------------
 # two disjoint balls
 
@@ -296,15 +235,12 @@ class BowTieCandidate:
 
 
 @lru_cache(maxsize=1)
-def _triangle_solution():
+def triangle_solution():
+    """(region, solution): the unit triangle the bow-ties are cut from, as a
+    `ConvexRegion`, and its `solve_convex` solution."""
     tri = convex_from_points([Vec2(0.0, -0.5), Vec2(math.sqrt(3.0) / 2.0, 0.0),
                               Vec2(0.0, 0.5)])
     return tri, solve_convex(tri)
-
-
-def triangle_cheeger() -> Tuple[ConvexRegion, float]:
-    tri, sol = _triangle_solution()
-    return tri, sol.h
 
 
 def build_bowtie(gap: float = 0.0) -> BowTie:
@@ -312,7 +248,7 @@ def build_bowtie(gap: float = 0.0) -> BowTie:
     reflect; `gap` moves the two waist corners apart vertically."""
     if gap < 0.0:
         raise DomainError("gap must be nonnegative")
-    _, sol = _triangle_solution()
+    _, sol = triangle_solution()
     x_c = sol.cheeger_set.bounding_box[2]
     w = 0.5 - x_c / math.sqrt(3.0)
     waist_y = w + gap

@@ -1,12 +1,10 @@
-"""Bracketed bisection shared by the root solves that have no derivative.
+"""Bracketed bisection for the root solves that have no derivative.
 
-The gallery fixes its self-Cheeger angles and the bow-tie corner radius as
-roots of their defining equations, ball paths locate where a rolling ball
-first touches an end segment, and `convex.inradius` finds the largest
-feasible depth.  All of them halve one bracket to a fixed width and read
-their answer off the returned bracket.  The inner Cheeger formula has an
-exact derivative and is solved by safeguarded Newton steps in
-`solver._solve_inner_formula` instead.
+The gallery fixes its Pinocchio and two-ears self-Cheeger angles as roots
+of their defining equations: each solve halves one bracket to a fixed
+width and reads its answer off the returned bracket.  The inner Cheeger
+formula has an exact derivative and is solved by safeguarded Newton steps
+in `solver._solve_inner_formula` instead.
 """
 from __future__ import annotations
 

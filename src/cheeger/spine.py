@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import geom
-from .errors import (BallNotContained, DomainError, InvalidGeometry,
-                     NotADiffeomorphism, SelfIntersecting)
+from .errors import (DomainError, InvalidGeometry, NotADiffeomorphism,
+                     SelfIntersecting)
 from .geom import Arc, ArcPolygon, BoundaryPiece, Segment, Vec2, unit_from_angle
-from .roots import bisect
 
 
 @dataclass(frozen=True)
@@ -79,10 +78,6 @@ class Spine:
             else:
                 hi = mid - 1
         return lo, t - self._states[lo][0]
-
-    def curvature_at(self, t: float) -> float:
-        i, _ = self._locate(t)
-        return self.pieces[i].curvature
 
     def point(self, t: float) -> Vec2:
         i, dt = self._locate(t)
@@ -177,44 +172,6 @@ class Strip:
 
     def point(self, t: float, rho: float) -> Vec2:
         return self.spine.point(t) + rho * self.spine.normal(t)
-
-    def locate(self, x: Vec2) -> Tuple[float, float]:
-        """Invert the strip parametrization: x = gamma(t) + rho*normal(t)."""
-        best: Optional[Tuple[float, float]] = None
-        spine = self.spine
-        for i, piece in enumerate(spine.pieces):
-            t0, p0, theta0 = spine._states[i]
-            if piece.curvature == 0.0:
-                d = unit_from_angle(theta0)
-                u = (x - p0).dot(d)
-                if -1e-9 <= u <= piece.length + 1e-9:
-                    t = t0 + min(max(u, 0.0), piece.length)
-                    rho = (x - spine.point(t)).dot(spine.normal(t))
-                    if abs(rho) <= self.halfwidth * (1.0 + 1e-9):
-                        if best is None or abs(rho) < abs(best[1]):
-                            best = (t, rho)
-            else:
-                k = piece.curvature
-                center = p0 + (1.0 / k) * unit_from_angle(theta0).perp()
-                v = x - center
-                if v.norm() < 1e-300:
-                    continue
-                # angle of the radial vector advances at rate k along the piece
-                a_start = (p0 - center).angle()
-                off = ((v.angle() - a_start) % geom.TAU) * (1.0 if k > 0 else -1.0)
-                if k < 0:
-                    off = off % geom.TAU
-                dt = off / abs(k)
-                for cand in (dt, dt - geom.TAU / abs(k)):
-                    if -1e-9 <= cand <= piece.length + 1e-9:
-                        t = t0 + min(max(cand, 0.0), piece.length)
-                        rho = (x - spine.point(t)).dot(spine.normal(t))
-                        if abs(rho) <= self.halfwidth * (1.0 + 1e-9):
-                            if best is None or abs(rho) < abs(best[1]):
-                                best = (t, rho)
-        if best is None:
-            raise DomainError(f"point ({x.x}, {x.y}) is not inside the strip")
-        return best
 
     def scaled(self, k: float) -> "Strip":
         return build_strip(self.spine.scaled(k), self.halfwidth * k)
@@ -384,14 +341,6 @@ def _sub_rows(rows: Sequence[LevelRow], t_from: float, t_to: float,
     return out
 
 
-def chain_pieces(rows: Sequence[LevelRow], t_from: float, t_to: float,
-                 reverse: bool = False) -> List[BoundaryPiece]:
-    """The sub-chain of level rows covering [t_from, t_to], optionally
-    reversed: the pieces of `_sub_rows`, each built once."""
-    return [geom._row_piece(*row)
-            for row in _sub_rows(rows, t_from, t_to, reverse)]
-
-
 def build_strip(spine: Spine, halfwidth: float) -> Strip:
     """Assemble and validate the strip of half-width s around a spine.
 
@@ -430,108 +379,3 @@ def strip_measures(st: Strip) -> Tuple[float, float]:
     """(area, perimeter) of the strip; both depend only on the spine length."""
     L, s = st.spine.length, st.halfwidth
     return 2.0 * s * L, 2.0 * L + 4.0 * s
-
-
-def jacobian(st: Strip, t: float, rho: float) -> float:
-    """Jacobian 1 - rho*kappa(t) of the strip parametrization."""
-    if not 0.0 <= t <= st.length:
-        raise DomainError(f"arclength {t} outside [0, {st.length}]")
-    if abs(rho) > st.halfwidth:
-        raise DomainError(f"|rho| = {abs(rho)} exceeds halfwidth {st.halfwidth}")
-    return 1.0 - rho * st.spine.curvature_at(t)
-
-
-def sub_strip_measure(st: Strip, intervals: Sequence[Tuple[float, float]]) -> float:
-    """Area of the union of transversal segments over spine intervals.
-
-    Equals 2s times the total length of the intervals, independent of the
-    spine's shape.
-    """
-    clipped = []
-    for a, b in intervals:
-        a = max(min(a, b), 0.0)
-        b = min(max(a, b), st.length)
-        if b > a:
-            clipped.append((a, b))
-    clipped.sort()
-    total = 0.0
-    cur_a: Optional[float] = None
-    cur_b = 0.0
-    for a, b in clipped:
-        if cur_a is None:
-            cur_a, cur_b = a, b
-        elif a <= cur_b:
-            cur_b = max(cur_b, b)
-        else:
-            total += cur_b - cur_a
-            cur_a, cur_b = a, b
-    if cur_a is not None:
-        total += cur_b - cur_a
-    return 2.0 * st.halfwidth * total
-
-
-# ball-to-ball paths ---------------------------------------------------------
-
-
-def _level_tangency_parameter(st: Strip, rho: float, r: float,
-                              t_hint: float) -> float:
-    """Smallest t at which the ball of radius r centered on the level-rho
-    curve is still inside the strip; at the returned t it touches the left
-    end segment."""
-    def clear(t: float) -> float:
-        return geom.distance_to_boundary(st.boundary, st.point(t, rho)) - r
-
-    if clear(t_hint) < -1e-9:
-        raise BallNotContained("hint center lost containment")
-    lo = t_hint
-    step = max(t_hint / 8.0, 1e-3 * st.length)
-    while lo > 1e-12 * st.length and clear(lo) >= 0.0:
-        lo = max(lo - step, 0.0)
-        step *= 2.0
-        if lo == 0.0:
-            break
-    if clear(lo) >= 0.0:
-        return lo
-    width = 1e-12 * max(st.length, 1.0)
-    _, hi = bisect(lambda t: -1.0 if clear(t) >= 0.0 else 1.0, lo, t_hint,
-                   width)
-    return hi
-
-
-def ball_to_ball_path(st: Strip, r: float, x0: Vec2, x1: Vec2
-                      ) -> List[BoundaryPiece]:
-    """Piecewise path along which a ball of radius r rolls from x0 to x1.
-
-    Each endpoint is first slid at constant transversal level until its ball
-    touches the left end segment, then the two tangent positions are joined
-    by a straight segment parallel to that end.  Every piece has curvature
-    at most 1/r and the rolling ball stays inside the strip throughout.
-    """
-    if r > st.halfwidth * (1.0 + 1e-12):
-        raise BallNotContained(f"ball radius {r} exceeds halfwidth {st.halfwidth}")
-    for x in (x0, x1):
-        if geom.distance_to_boundary(st.boundary, x) < r * (1.0 - 1e-9):
-            raise BallNotContained(
-                f"ball of radius {r} at ({x.x}, {x.y}) is not inside the strip")
-    if x0.distance(x1) <= 1e-12 * max(st.length, 1.0):
-        return []
-    t0, rho0 = st.locate(x0)
-    t1, rho1 = st.locate(x1)
-    chain0 = _level_rows(st.spine, rho0)
-    if abs(rho0 - rho1) <= 1e-12 * st.halfwidth:
-        lo, hi = min(t0, t1), max(t0, t1)
-        pieces = chain_pieces(chain0, lo, hi, reverse=(t0 > t1))
-        return pieces
-    ta = _level_tangency_parameter(st, rho0, r, t0)
-    tb = _level_tangency_parameter(st, rho1, r, t1)
-    pieces: List[BoundaryPiece] = []
-    if t0 - ta > 1e-12 * st.length:
-        pieces += chain_pieces(chain0, ta, t0, reverse=True)
-    pa = st.point(ta, rho0)
-    pb = st.point(tb, rho1)
-    if pa.distance(pb) > 1e-12 * max(st.length, 1.0):
-        pieces.append(Segment(pa, pb))
-    if t1 - tb > 1e-12 * st.length:
-        chain1 = _level_rows(st.spine, rho1)
-        pieces += chain_pieces(chain1, tb, t1)
-    return pieces

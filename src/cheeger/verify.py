@@ -496,7 +496,7 @@ def run_gallery_suite() -> List[Check]:
         f"theta1 = {theta1:.6f} (recorded; no reference value asserted)"))
     bt = gallery.build_bowtie()
     cand = gallery.bowtie_cheeger_candidate(bt)
-    _, h_t = gallery.triangle_cheeger()
+    h_t = gallery.triangle_solution()[1].h
     checks.append(gallery.bowtie_arcs_check(cand))
     checks.append(Check("bowtie_ratio_below_triangle", cand.ratio < h_t,
                         f"candidate ratio {cand.ratio:.6f} < h(T) = {h_t:.6f}"))

@@ -24,11 +24,15 @@ The raster contour length is kept here on `Vec2` points (`grid_perimeter`,
 
 The strip chain is kept here as it was written with pieces: `level_chain`
 builds an `Arc` or `Segment` per spine piece, `chain_pieces` rebuilds each
-through `subpiece` and reverses it in a second pass, and `inner_set` and
-`ball_to_ball_path` read those pieces.  `spine.level_chain`,
-`spine.chain_pieces`, `solver.inner_set` and `spine.ball_to_ball_path`
-compute on float rows and must match them bit for bit, error messages
-included.
+through `subpiece` and reverses it in a second pass, and `inner_set` reads
+those pieces.  `spine.level_chain` and `solver.inner_set` compute on float
+rows and must match them bit for bit, error messages included.
+
+The ball-to-ball path of a strip lives only here, on that piece chain:
+`ball_to_ball_path` inverts the strip parametrization (`locate`), slides
+each end along its level curve until the ball touches the left end
+(`level_tangency_parameter`, a bisection) and joins the two touching
+positions.  The strip property tests in `test_spine.py` run on it.
 """
 from __future__ import annotations
 
@@ -37,13 +41,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from cheeger import geom
 from cheeger.convex import ConvexRegion, _Support, _support_vertex
-from cheeger.errors import (BallNotContained, DegenerateInnerSet,
-                            DomainError, EmptyInnerSet, EmptyRegion,
-                            InvalidGeometry, NotADiffeomorphism,
-                            SelfIntersecting)
+from cheeger.errors import (CheegerError, DegenerateInnerSet, DomainError,
+                            EmptyInnerSet, EmptyRegion, InvalidGeometry,
+                            NotADiffeomorphism, SelfIntersecting)
 from cheeger.geom import (TAU, Arc, ArcPolygon, BoundaryPiece, Segment, Vec2,
                           unit_from_angle)
-from cheeger.spine import Spine, Strip, _level_tangency_parameter
+from cheeger.roots import bisect
+from cheeger.spine import Spine, Strip
 
 
 def contains_angle(a: Arc, phi: float) -> bool:
@@ -607,9 +611,83 @@ def inner_set_pieces(st: Strip, r: float) -> List[BoundaryPiece]:
     return bottom + [Segment(p_br, p_tr)] + top + [Segment(p_tl, p_bl)]
 
 
+class BallNotContained(CheegerError):
+    """A requested ball is not contained in the strip."""
+
+
+def locate(st: Strip, x: Vec2) -> Tuple[float, float]:
+    """Invert the strip parametrization: x = gamma(t) + rho*normal(t)."""
+    best: Optional[Tuple[float, float]] = None
+    spine = st.spine
+    for i, piece in enumerate(spine.pieces):
+        t0, p0, theta0 = spine._states[i]
+        if piece.curvature == 0.0:
+            d = unit_from_angle(theta0)
+            u = (x - p0).dot(d)
+            if -1e-9 <= u <= piece.length + 1e-9:
+                t = t0 + min(max(u, 0.0), piece.length)
+                rho = (x - spine.point(t)).dot(spine.normal(t))
+                if abs(rho) <= st.halfwidth * (1.0 + 1e-9):
+                    if best is None or abs(rho) < abs(best[1]):
+                        best = (t, rho)
+        else:
+            k = piece.curvature
+            center = p0 + (1.0 / k) * unit_from_angle(theta0).perp()
+            v = x - center
+            if v.norm() < 1e-300:
+                continue
+            # angle of the radial vector advances at rate k along the piece
+            a_start = (p0 - center).angle()
+            off = ((v.angle() - a_start) % geom.TAU) * (1.0 if k > 0 else -1.0)
+            if k < 0:
+                off = off % geom.TAU
+            dt = off / abs(k)
+            for cand in (dt, dt - geom.TAU / abs(k)):
+                if -1e-9 <= cand <= piece.length + 1e-9:
+                    t = t0 + min(max(cand, 0.0), piece.length)
+                    rho = (x - spine.point(t)).dot(spine.normal(t))
+                    if abs(rho) <= st.halfwidth * (1.0 + 1e-9):
+                        if best is None or abs(rho) < abs(best[1]):
+                            best = (t, rho)
+    if best is None:
+        raise DomainError(f"point ({x.x}, {x.y}) is not inside the strip")
+    return best
+
+
+def level_tangency_parameter(st: Strip, rho: float, r: float,
+                             t_hint: float) -> float:
+    """Smallest t at which the ball of radius r centered on the level-rho
+    curve is still inside the strip; at the returned t it touches the left
+    end segment."""
+    def clear(t: float) -> float:
+        return geom.distance_to_boundary(st.boundary, st.point(t, rho)) - r
+
+    if clear(t_hint) < -1e-9:
+        raise BallNotContained("hint center lost containment")
+    lo = t_hint
+    step = max(t_hint / 8.0, 1e-3 * st.length)
+    while lo > 1e-12 * st.length and clear(lo) >= 0.0:
+        lo = max(lo - step, 0.0)
+        step *= 2.0
+        if lo == 0.0:
+            break
+    if clear(lo) >= 0.0:
+        return lo
+    width = 1e-12 * max(st.length, 1.0)
+    _, hi = bisect(lambda t: -1.0 if clear(t) >= 0.0 else 1.0, lo, t_hint,
+                   width)
+    return hi
+
+
 def ball_to_ball_path(st: Strip, r: float, x0: Vec2, x1: Vec2
                       ) -> List[BoundaryPiece]:
-    """`spine.ball_to_ball_path` on the piece chain above."""
+    """Piecewise path along which a ball of radius r rolls from x0 to x1.
+
+    Each endpoint is first slid at constant transversal level until its ball
+    touches the left end segment, then the two tangent positions are joined
+    by a straight segment parallel to that end.  Every piece has curvature
+    at most 1/r and the rolling ball stays inside the strip throughout.
+    """
     if r > st.halfwidth * (1.0 + 1e-12):
         raise BallNotContained(f"ball radius {r} exceeds halfwidth {st.halfwidth}")
     for x in (x0, x1):
@@ -618,15 +696,14 @@ def ball_to_ball_path(st: Strip, r: float, x0: Vec2, x1: Vec2
                 f"ball of radius {r} at ({x.x}, {x.y}) is not inside the strip")
     if x0.distance(x1) <= 1e-12 * max(st.length, 1.0):
         return []
-    t0, rho0 = st.locate(x0)
-    t1, rho1 = st.locate(x1)
+    t0, rho0 = locate(st, x0)
+    t1, rho1 = locate(st, x1)
     chain0 = level_chain(st.spine, rho0)
     if abs(rho0 - rho1) <= 1e-12 * st.halfwidth:
         lo, hi = min(t0, t1), max(t0, t1)
-        pieces = chain_pieces(chain0, lo, hi, reverse=(t0 > t1))
-        return pieces
-    ta = _level_tangency_parameter(st, rho0, r, t0)
-    tb = _level_tangency_parameter(st, rho1, r, t1)
+        return chain_pieces(chain0, lo, hi, reverse=(t0 > t1))
+    ta = level_tangency_parameter(st, rho0, r, t0)
+    tb = level_tangency_parameter(st, rho1, r, t1)
     pieces: List[BoundaryPiece] = []
     if t0 - ta > 1e-12 * st.length:
         pieces += chain_pieces(chain0, ta, t0, reverse=True)

@@ -547,6 +547,7 @@ def _reach_shapes():
     the gallery loops, the notched stadium, the loose bow-tie components,
     a straight strip, the L shape and the 40-arc C whose bound a piece pair
     sets.  The depth is the root where there is one, else the bound or 1."""
+    import gallery_families as families
     from cheeger import gallery
     shapes = [(sol.inner_set, sol.r, geom.reach_lower_bound(sol.inner_set))
               for _, sol in verify.ladder_solutions().values()]
@@ -554,9 +555,9 @@ def _reach_shapes():
     bowtie = gallery.build_bowtie(0.03)
     loops = [gallery.pinocchio_region(theta),
              gallery.pinocchio_region(theta, nose=0.5),
-             gallery.pinocchio_region_bent(theta, 0.5),
+             families.pinocchio_region_bent(theta, 0.5),
              gallery.two_ears_region(gallery.two_ears_theta()),
-             gallery.two_ears_region_stretched(0.3, 0.5),
+             families.two_ears_region_stretched(0.3, 0.5),
              gallery.build_bowtie(0.0).region, bowtie.region,
              verify.notched_stadium(), ELL, _arc_c(),
              verify.strip_families()["straight"](20.0).boundary]

@@ -1,10 +1,9 @@
 """The strip chain on float rows against the piece chain it replaced.
 
 `spine._level_rows` computes each parallel curve once, in floats, and
-`spine.level_chain`, `spine.chain_pieces`, `solver.inner_set` and
-`spine.ball_to_ball_path` build each piece once from those rows.  The piece
-chain in `tests/geom_reference.py` is the old code; every float must match
-it in float.hex, and every error its type and message.
+`spine.level_chain` and `solver.inner_set` build each piece once from those
+rows.  The piece chain in `tests/geom_reference.py` is the old code; every
+float must match it in float.hex, and every error its type and message.
 """
 import math
 from unittest import mock
@@ -111,18 +110,6 @@ def test_rows_match_the_piece_chain(family, data):
         r = frac * s
         assert outcome(solver.inner_set, st_, r) == \
             outcome(reference.inner_set, st_, r)
-    # a rolling ball between two points of the strip, often on one level
-    rb = data.draw(hst.floats(0.05, 0.95)) * s
-    margin = min(rb, 0.5 * st_.length)
-    ends = []
-    for _ in range(2):
-        t = margin + data.draw(hst.floats(0.0, 1.0)) \
-            * (st_.length - 2.0 * margin)
-        rho = data.draw(hst.sampled_from((0.0, 0.5, -0.5))
-                        | hst.floats(-1.0, 1.0)) * (s - rb)
-        ends.append(st_.point(t, rho))
-    assert outcome(spine.ball_to_ball_path, st_, rb, *ends) == \
-        outcome(reference.ball_to_ball_path, st_, rb, *ends)
 
 
 P = spine.SpinePiece
