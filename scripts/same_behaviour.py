@@ -19,7 +19,11 @@ read.  The digest holds the sha256 of:
   - the exit code, stdout and stderr of `cheeger solve --allow-short-strip`
     on short and malformed strip specs, among them the two strips whose
     trimmed level curve empties near the root and a seeded sample of one-
-    and two-piece strips near the curvature limit.
+    and two-piece strips near the curvature limit;
+  - the exit code, stdout and stderr of `cheeger solve` on one spec per
+    schema error of every domain type (an unknown, list or missing 'type',
+    a file that holds no JSON object, a file that cannot be read) and on
+    the six domain examples of README.md.
 Each workload also reports how many reports, failures and offsets it made.
 """
 from __future__ import annotations
@@ -30,6 +34,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 
@@ -139,17 +144,75 @@ def short_strip_specs() -> list:
     return specs
 
 
-def cli_outcomes() -> str:
+def schema_error_specs() -> list:
+    """One spec per `SpecError` that `cli.solve_domain` raises, and specs
+    whose 'type' is unknown, missing or unhashable, or that are no JSON
+    object."""
+    def strip(*pieces, halfwidth=1.0):
+        return {"type": "strip", "halfwidth": halfwidth, "spine": list(pieces)}
+
+    line, arc = {"kind": "line", "length": 15}, {"kind": "arc", "length": 5}
+    return [
+        {"type": "strip", "spine": [line]},
+        strip(line, halfwidth=0),
+        strip(),
+        strip(5),
+        strip({"kind": "spiral", "length": 5}),
+        strip({"kind": "line", "length": -5}),
+        strip(arc),
+        strip(dict(line, curvature="a")),
+        strip(dict(line, curvature=0.5)),
+        strip(dict(arc, curvature=0)),
+        strip(dict(arc, curvature=0.6), halfwidth=2.0),
+        {"type": "convex_polygon", "vertices": [[0, 0], [1, 0]]},
+        {"type": "convex_polygon", "vertices": [[0, 0], [1, 0], [0, 10 ** 400]]},
+        {"type": "convex_polygon", "vertices": [[0, 0], [1, 0], "x"]},
+        {"type": "convex_polygon", "vertices": [[0, 0], [1, 0], [2, 0]]},
+        {"type": "convex_polygon", "vertices": [[0, 0], [2, 0], [1, 0.2], [1, 2]]},
+        {"type": "pinocchio", "alpha": "x"},
+        {"type": "pinocchio", "alpha": True},
+        {"type": "pinocchio", "nose": [1]},
+        {"type": "pinocchio", "theta": 2.0},
+        {"type": "pinocchio", "alpha": 1.5},
+        {"type": "pinocchio", "alpha": -0.1},
+        {"type": "pinocchio", "nose": -1},
+        {"type": "pinocchio", "nose": 1, "alpha": 0.1},
+        {"type": "two_ears", "theta": 10 ** 400},
+        {"type": "two_ears", "theta": "x"},
+        {"type": "bowtie", "gap": "wide"},
+        {"type": "bowtie", "gap": -0.1},
+        {"type": "wat"}, {"type": []}, {"type": {}}, {"type": None},
+        {"type": 1}, {},
+        [], None, 1,
+    ]
+
+
+def readme_specs() -> list:
+    """The domain examples of README.md, one JSON object per line group."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("Domain files are one of:", 1)[1]
+    block = block.split("```json", 1)[1].split("```", 1)[0]
+    return [json.loads(chunk)
+            for chunk in re.split(r"\n(?=\{)", block.strip())]
+
+
+def solve_outcomes(specs: list, flags: list, missing: bool = False) -> str:
+    """sha of [exit code, stdout, stderr] of `cheeger solve` with `flags`
+    on each spec, and on a file that does not exist if `missing`."""
     results = []
     with tempfile.TemporaryDirectory() as tmp:
-        for k, spec in enumerate(short_strip_specs()):
-            path = os.path.join(tmp, f"strip_{k}.json")
-            with open(path, "w") as fh:
+        paths = []
+        for k, spec in enumerate(specs):
+            paths.append(os.path.join(tmp, f"spec_{k}.json"))
+            with open(paths[-1], "w") as fh:
                 json.dump(spec, fh)
+        if missing:
+            paths.append(os.path.join(tmp, "missing.json"))
+        for path in paths:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
-                code = cli.main(["solve", "--allow-short-strip", path])
+                code = cli.main(["solve", *flags, path])
             results.append([code, out.getvalue(),
                             err.getvalue().replace(tmp, "<tmp>")])
     return sha(results)
@@ -159,7 +222,10 @@ def main() -> int:
     digest = {"workloads": {f"{name}/{seed}": run_workload(name, seed)
                             for name in workloads.BUILDERS for seed in SEEDS},
               "suites": {name: suite_checks(name) for name in verify.SUITES},
-              "cli_solve": cli_outcomes()}
+              "cli_solve": solve_outcomes(short_strip_specs(),
+                                          ["--allow-short-strip"]),
+              "cli_errors": solve_outcomes(
+                  schema_error_specs() + readme_specs(), [], missing=True)}
     print(json.dumps(digest, indent=1, sort_keys=True))
     return 0
 

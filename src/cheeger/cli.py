@@ -1,6 +1,6 @@
 """Command-line front end: solve domain files, run check suites, render SVG.
 
-Domain files are JSON objects (see `solve_domain`); reports are machine
+Domain files are JSON objects (see `DOMAINS`); reports are machine
 readable JSON on stdout with a human log on stderr.  Exit codes: 0 success,
 1 input error, 2 failed property or check.
 """
@@ -11,7 +11,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .convex import convex_from_points, solve_convex
@@ -86,13 +86,13 @@ def parse_spine(items, halfwidth: float) -> Spine:
         where = f"spine[{i}]"
         if not isinstance(item, dict):
             raise SpecError(f"{where}: expected an object")
-        kind = item.get("kind")
-        if kind not in ("line", "arc"):
+        piece_kind = item.get("kind")
+        if piece_kind not in ("line", "arc"):
             raise SpecError(f"{where}: 'kind' must be 'line' or 'arc'")
         length = _require_number(item, "length", where)
         if length <= 0.0:
             raise SpecError(f"{where}: 'length' must be positive")
-        if kind == "line":
+        if piece_kind == "line":
             kappa = _optional_number(item, "curvature", 0.0, where)
             if kappa != 0.0:
                 raise SpecError(f"{where}: a line piece cannot carry curvature")
@@ -139,147 +139,165 @@ def _closed_form_outcome(region: ArcPolygon, perim: float, area: float,
                                  f"relative gap {geo_gap:.3e}")])
 
 
-def _theta(spec: dict, where: str) -> Optional[float]:
-    """The 'theta' field: None for 'auto' (the default), else an angle in
-    (0, pi/2)."""
+def _theta(spec: dict, where: str, root: Callable[[], float]
+           ) -> Tuple[float, bool]:
+    """The 'theta' field and whether it was 'auto' (the default), which
+    takes the self-Cheeger root from `root()`; else an angle in (0, pi/2)."""
     raw = spec.get("theta", "auto")
     if raw == "auto":
-        return None
+        return root(), True
     theta = _finite_number(raw)
     if theta is None:
         raise SpecError(f"{where}: 'theta' must be a number or 'auto'")
     if not 0.0 < theta < 0.5 * math.pi:
         raise SpecError(f"{where}: 'theta' must lie in (0, pi/2)")
-    return theta
+    return theta, False
+
+
+def _solve_strip(spec: dict, allow_short: bool) -> Outcome:
+    hw = _require_number(spec, "halfwidth", "strip")
+    if hw <= 0.0:
+        raise SpecError("strip: 'halfwidth' must be positive")
+    spine = parse_spine(spec.get("spine"), hw)
+    strip = build_strip(spine, hw)
+    sol = solve_strip(strip, allow_short=allow_short)
+    out = _inner_formula_outcome(sol, strip.boundary)
+    if not sol.warnings:
+        out.checks.append(Check(
+            "strip_bounds",
+            sol.bounds.krepra_lower <= sol.h <= sol.bounds.krepra_upper,
+            f"h = {sol.h:.8f}"))
+    try:
+        arcs = check_free_boundary(sol, strip)
+        out.checks.append(Check("free_boundary", True,
+                                f"{len(arcs)} free arcs verified"))
+        out.balls = [(fa.arc.center, sol.r) for fa in arcs]
+    except PropertyViolation as exc:
+        out.checks.append(Check("free_boundary", False, str(exc)))
+    return out
+
+
+def _solve_convex_polygon(spec: dict, allow_short: bool) -> Outcome:
+    verts = spec.get("vertices")
+    if not isinstance(verts, list) or len(verts) < 3:
+        raise SpecError("convex_polygon: 'vertices' needs >= 3 entries")
+    pts = []
+    for i, xy in enumerate(verts):
+        if (not isinstance(xy, (list, tuple)) or len(xy) != 2
+                or any(_finite_number(v) is None for v in xy)):
+            raise SpecError(f"vertices[{i}]: expected [x, y] numbers")
+        pts.append(Vec2(float(xy[0]), float(xy[1])))
+    try:
+        region = convex_from_points(pts)
+    except CheegerError as exc:
+        raise SpecError(f"convex_polygon: {exc}") from exc
+    out = _inner_formula_outcome(solve_convex(region), region.region)
+    out.checks.append(Check("cheeger_set_contained", True,
+                            "proven during solve: every vertex of E_r "
+                            "lies at depth >= r in the region"))
+    return out
+
+
+def _solve_pinocchio(spec: dict, allow_short: bool) -> Outcome:
+    alpha = _optional_number(spec, "alpha", 0.0, "pinocchio")
+    nose = _optional_number(spec, "nose", 0.0, "pinocchio")
+    theta, auto = _theta(spec, "pinocchio", solve_pinocchio_theta)
+    warnings: List[str] = []
+    if not auto:
+        g_val = pinocchio_g(theta)
+        if abs(g_val) > 1e-6:
+            warnings.append(
+                f"theta is not the self-Cheeger root: g(theta) = {g_val:.3e}")
+    if alpha < 0.0 or alpha > 0.5 * math.pi - theta + 1e-12:
+        raise SpecError("pinocchio: 'alpha' must lie in [0, pi/2 - theta]")
+    if nose < 0.0:
+        raise SpecError("pinocchio: 'nose' must be nonnegative")
+    if nose > 0.0 and alpha != 0.0:
+        raise SpecError("pinocchio: nose extension requires alpha = 0")
+    nose_radius = math.sin(theta)
+    perim, area = pinocchio_measures(theta, alpha)
+    perim += 2.0 * nose
+    area += 2.0 * nose_radius * nose
+    if alpha > 0.0:
+        warnings.append("alpha > 0 truncates the nose; the reported h is "
+                        "the region's own ratio")
+    out = _closed_form_outcome(pinocchio_region(theta, alpha, nose),
+                               perim, area, warnings)
+    if auto and alpha == 0.0:
+        out.checks.append(Check(
+            "self_cheeger_identity",
+            abs(out.h - 1.0 / nose_radius) <= 1e-9 * out.h,
+            f"h = {out.h!r} vs 1/sin(theta0)"))
+        tau = min(nose, 1.0)
+        out.balls = [(Vec2(math.cos(theta) + t, 0.0), nose_radius)
+                     for t in (0.0, 0.5 * tau, tau)] if nose > 0 else \
+                    [(Vec2(math.cos(theta), 0.0), nose_radius)]
+    return out
+
+
+def _solve_two_ears(spec: dict, allow_short: bool) -> Outcome:
+    theta, auto = _theta(spec, "two_ears", two_ears_theta)
+    perim, area = two_ears_measures(theta)
+    warnings = []
+    if not auto and abs(perim * math.sin(theta) - area) > 1e-6:
+        warnings.append("theta is not the self-Cheeger root")
+    out = _closed_form_outcome(two_ears_region(theta), perim, area, warnings)
+    out.balls = [(Vec2(math.cos(theta), 0.0), math.sin(theta)),
+                 (Vec2(-math.cos(theta), 0.0), math.sin(theta))]
+    return out
+
+
+def _solve_bowtie(spec: dict, allow_short: bool) -> Outcome:
+    gap = _optional_number(spec, "gap", 0.0, "bowtie")
+    if gap < 0.0:
+        raise SpecError("bowtie: 'gap' must be nonnegative")
+    bt = build_bowtie(gap)
+    if gap == 0.0:
+        cand = bowtie_cheeger_candidate(bt)
+        return Outcome(
+            h=cand.ratio, r=cand.radius,
+            residual=abs(cand.ratio - 1.0 / cand.radius), iterations=0,
+            warnings=["candidate ratio from the four-arc construction; "
+                      "global optimality is not certified"],
+            regions=[bt.region], cheeger=cand.region,
+            checks=[bowtie_arcs_check(cand)],
+            balls=[(a.center, cand.radius) for a in cand.corner_arcs])
+    h = bt.region.perimeter / bt.region.area
+    return Outcome(
+        h=h, r=1.0 / h, residual=0.0, iterations=0,
+        warnings=["loose bow-tie: reported h is the domain's own ratio, "
+                  "an upper bound only; the inner Cheeger formula fails "
+                  "here"],
+        regions=[bt.region],
+        checks=[Check("loose_bowtie_waist_angle",
+                      bt.alpha_corner > 0.5 * math.pi,
+                      f"alpha = {bt.alpha_corner:.6f}")])
+
+
+def _solve_two_balls(spec: dict, allow_short: bool) -> Outcome:
+    rep = two_balls_example()
+    return Outcome(h=rep.h, r=1.0 / rep.h, residual=0.0, iterations=0,
+                   regions=list(rep.components),
+                   cheeger=rep.components[0], checks=list(rep.checks))
+
+
+# The domain types of `cheeger solve`: a domain file's 'type' -> the entry
+# that parses its fields, solves it and checks the result.  Only 'strip'
+# reads allow_short.
+DOMAINS: Dict[str, Callable[[dict, bool], Outcome]] = {
+    "strip": _solve_strip, "convex_polygon": _solve_convex_polygon,
+    "pinocchio": _solve_pinocchio, "two_ears": _solve_two_ears,
+    "bowtie": _solve_bowtie, "two_balls": _solve_two_balls}
 
 
 def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
+    """Solve a domain file's JSON object through its `DOMAINS` entry."""
     if not isinstance(spec, dict):
         raise SpecError("domain file must hold a JSON object")
     kind = spec.get("type")
-    if kind == "strip":
-        hw = _require_number(spec, "halfwidth", "strip")
-        if hw <= 0.0:
-            raise SpecError("strip: 'halfwidth' must be positive")
-        spine = parse_spine(spec.get("spine"), hw)
-        strip = build_strip(spine, hw)
-        sol = solve_strip(strip, allow_short=allow_short)
-        out = _inner_formula_outcome(sol, strip.boundary)
-        if not sol.warnings:
-            out.checks.append(Check(
-                "strip_bounds",
-                sol.bounds.krepra_lower <= sol.h <= sol.bounds.krepra_upper,
-                f"h = {sol.h:.8f}"))
-        try:
-            arcs = check_free_boundary(sol, strip)
-            out.checks.append(Check("free_boundary", True,
-                                    f"{len(arcs)} free arcs verified"))
-            out.balls = [(fa.arc.center, sol.r) for fa in arcs]
-        except PropertyViolation as exc:
-            out.checks.append(Check("free_boundary", False, str(exc)))
-        return out
-    if kind == "convex_polygon":
-        verts = spec.get("vertices")
-        if not isinstance(verts, list) or len(verts) < 3:
-            raise SpecError("convex_polygon: 'vertices' needs >= 3 entries")
-        pts = []
-        for i, xy in enumerate(verts):
-            if (not isinstance(xy, (list, tuple)) or len(xy) != 2
-                    or any(_finite_number(v) is None for v in xy)):
-                raise SpecError(f"vertices[{i}]: expected [x, y] numbers")
-            pts.append(Vec2(float(xy[0]), float(xy[1])))
-        try:
-            region = convex_from_points(pts)
-        except CheegerError as exc:
-            raise SpecError(f"convex_polygon: {exc}") from exc
-        out = _inner_formula_outcome(solve_convex(region), region.region)
-        out.checks.append(Check("cheeger_set_contained", True,
-                                "proven during solve: every vertex of E_r "
-                                "lies at depth >= r in the region"))
-        return out
-    if kind == "pinocchio":
-        alpha = _optional_number(spec, "alpha", 0.0, "pinocchio")
-        nose = _optional_number(spec, "nose", 0.0, "pinocchio")
-        theta = _theta(spec, "pinocchio")
-        auto = theta is None
-        warnings: List[str] = []
-        if auto:
-            theta = solve_pinocchio_theta()
-        else:
-            g_val = pinocchio_g(theta)
-            if abs(g_val) > 1e-6:
-                warnings.append(
-                    f"theta is not the self-Cheeger root: g(theta) = {g_val:.3e}")
-        if alpha < 0.0 or alpha > 0.5 * math.pi - theta + 1e-12:
-            raise SpecError("pinocchio: 'alpha' must lie in [0, pi/2 - theta]")
-        if nose < 0.0:
-            raise SpecError("pinocchio: 'nose' must be nonnegative")
-        if nose > 0.0 and alpha != 0.0:
-            raise SpecError("pinocchio: nose extension requires alpha = 0")
-        nose_radius = math.sin(theta)
-        perim, area = pinocchio_measures(theta, alpha)
-        perim += 2.0 * nose
-        area += 2.0 * nose_radius * nose
-        if alpha > 0.0:
-            warnings.append("alpha > 0 truncates the nose; the reported h is "
-                            "the region's own ratio")
-        out = _closed_form_outcome(pinocchio_region(theta, alpha, nose),
-                                   perim, area, warnings)
-        if auto and alpha == 0.0:
-            out.checks.append(Check(
-                "self_cheeger_identity",
-                abs(out.h - 1.0 / nose_radius) <= 1e-9 * out.h,
-                f"h = {out.h!r} vs 1/sin(theta0)"))
-            tau = min(nose, 1.0)
-            out.balls = [(Vec2(math.cos(theta) + t, 0.0), nose_radius)
-                         for t in (0.0, 0.5 * tau, tau)] if nose > 0 else \
-                        [(Vec2(math.cos(theta), 0.0), nose_radius)]
-        return out
-    if kind == "two_ears":
-        theta = _theta(spec, "two_ears")
-        auto = theta is None
-        if auto:
-            theta = two_ears_theta()
-        perim, area = two_ears_measures(theta)
-        warnings = []
-        if not auto and abs(perim * math.sin(theta) - area) > 1e-6:
-            warnings.append("theta is not the self-Cheeger root")
-        out = _closed_form_outcome(two_ears_region(theta), perim, area,
-                                   warnings)
-        out.balls = [(Vec2(math.cos(theta), 0.0), math.sin(theta)),
-                     (Vec2(-math.cos(theta), 0.0), math.sin(theta))]
-        return out
-    if kind == "bowtie":
-        gap = _optional_number(spec, "gap", 0.0, "bowtie")
-        if gap < 0.0:
-            raise SpecError("bowtie: 'gap' must be nonnegative")
-        bt = build_bowtie(gap)
-        if gap == 0.0:
-            cand = bowtie_cheeger_candidate(bt)
-            return Outcome(
-                h=cand.ratio, r=cand.radius,
-                residual=abs(cand.ratio - 1.0 / cand.radius), iterations=0,
-                warnings=["candidate ratio from the four-arc construction; "
-                          "global optimality is not certified"],
-                regions=[bt.region], cheeger=cand.region,
-                checks=[bowtie_arcs_check(cand)],
-                balls=[(a.center, cand.radius) for a in cand.corner_arcs])
-        h = bt.region.perimeter / bt.region.area
-        return Outcome(
-            h=h, r=1.0 / h, residual=0.0, iterations=0,
-            warnings=["loose bow-tie: reported h is the domain's own ratio, "
-                      "an upper bound only; the inner Cheeger formula fails "
-                      "here"],
-            regions=[bt.region],
-            checks=[Check("loose_bowtie_waist_angle",
-                          bt.alpha_corner > 0.5 * math.pi,
-                          f"alpha = {bt.alpha_corner:.6f}")])
-    if kind == "two_balls":
-        rep = two_balls_example()
-        return Outcome(h=rep.h, r=1.0 / rep.h, residual=0.0, iterations=0,
-                       regions=list(rep.components),
-                       cheeger=rep.components[0], checks=list(rep.checks))
-    raise SpecError(f"unknown domain type {spec.get('type')!r}")
+    if not isinstance(kind, str) or kind not in DOMAINS:
+        raise SpecError(f"unknown domain type {kind!r}")
+    return DOMAINS[kind](spec, allow_short)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,11 @@ class SpinePiece:
     def __post_init__(self) -> None:
         if not (self.length > 0.0 and math.isfinite(self.length)):
             raise InvalidGeometry(f"piece length must be positive, got {self.length}")
-        if abs(self.curvature) > 1.0 + 1e-12:
+        # a piece has no halfwidth: build_strip checks the fold rule
+        # halfwidth*|curvature| < 1
+        if not math.isfinite(self.curvature):
             raise InvalidGeometry(
-                f"|curvature| must not exceed 1, got {self.curvature}")
+                f"curvature must be finite, got {self.curvature}")
 
 
 @dataclass(frozen=True)

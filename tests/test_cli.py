@@ -142,30 +142,116 @@ def test_malformed_json_exit_1(tmp_path, capsys, command, payload, expected):
     assert expected in err
 
 
+def strip_of(*pieces, halfwidth=1.0):
+    return {"type": "strip", "halfwidth": halfwidth, "spine": list(pieces)}
+
+
+# one case per SpecError message of solve_domain, with its exact stderr
+SCHEMA_ERRORS = [
+    ({"type": "strip", "spine": [{"kind": "line", "length": 5}]},
+     "strip: missing field 'halfwidth'"),
+    (strip_of({"kind": "line", "length": 15}, halfwidth=0),
+     "strip: 'halfwidth' must be positive"),
+    (strip_of(), "'spine': expected a nonempty list of pieces"),
+    (strip_of(5), "spine[0]: expected an object"),
+    (strip_of({"kind": "spiral", "length": 5}),
+     "spine[0]: 'kind' must be 'line' or 'arc'"),
+    (strip_of({"kind": "line", "length": -5}),
+     "spine[0]: 'length' must be positive"),
+    (strip_of({"kind": "arc", "length": 5}),
+     "spine[0]: missing field 'curvature'"),
+    (strip_of({"kind": "line", "length": 15, "curvature": "a"}),
+     "spine[0]: field 'curvature' must be a finite number"),
+    (strip_of({"kind": "line", "length": 15, "curvature": 0.5}),
+     "spine[0]: a line piece cannot carry curvature"),
+    (strip_of({"kind": "arc", "length": 5, "curvature": 0}),
+     "spine[0]: an arc piece needs nonzero curvature"),
+    (strip_of({"kind": "arc", "length": 5, "curvature": 0.6}, halfwidth=2.0),
+     "spine[0]: |curvature|*halfwidth = 1.2 must stay below 1"),
+    ({"type": "convex_polygon", "vertices": [[0, 0], [1, 0]]},
+     "convex_polygon: 'vertices' needs >= 3 entries"),
+    ({"type": "convex_polygon", "vertices": [[0, 0], [1, 0], [0, 10 ** 400]]},
+     "vertices[2]: expected [x, y] numbers"),
+    ({"type": "convex_polygon", "vertices": [[0, 0], [1, 0], "x"]},
+     "vertices[2]: expected [x, y] numbers"),
+    ({"type": "convex_polygon", "vertices": [[0, 0], [1, 0], [2, 0]]},
+     "convex_polygon: loop encloses no area"),
+    ({"type": "convex_polygon", "vertices": [[0, 0], [2, 0], [1, 0.2], [1, 2]]},
+     "convex_polygon: region is not convex"),
+    ({"type": "pinocchio", "alpha": "x"},
+     "pinocchio: field 'alpha' must be a finite number"),
+    ({"type": "pinocchio", "alpha": True},
+     "pinocchio: field 'alpha' must be a finite number"),
+    ({"type": "pinocchio", "nose": [1]},
+     "pinocchio: field 'nose' must be a finite number"),
+    ({"type": "pinocchio", "theta": 2.0},
+     "pinocchio: 'theta' must lie in (0, pi/2)"),
+    ({"type": "pinocchio", "alpha": 1.5},
+     "pinocchio: 'alpha' must lie in [0, pi/2 - theta]"),
+    ({"type": "pinocchio", "alpha": -0.1},
+     "pinocchio: 'alpha' must lie in [0, pi/2 - theta]"),
+    ({"type": "pinocchio", "nose": -1}, "pinocchio: 'nose' must be nonnegative"),
+    ({"type": "pinocchio", "nose": 1, "alpha": 0.1},
+     "pinocchio: nose extension requires alpha = 0"),
+    ({"type": "two_ears", "theta": 10 ** 400},
+     "two_ears: 'theta' must be a number or 'auto'"),
+    ({"type": "bowtie", "gap": "wide"},
+     "bowtie: field 'gap' must be a finite number"),
+    ({"type": "bowtie", "gap": -0.1}, "bowtie: 'gap' must be nonnegative"),
+    # a list or dict 'type' cannot be a table key: a lookup must not raise
+    # TypeError on it
+    ({"type": "wat"}, "unknown domain type 'wat'"),
+    ({"type": []}, "unknown domain type []"),
+    ({"type": {}}, "unknown domain type {}"),
+    ({"type": None}, "unknown domain type None"),
+    ({"type": 1}, "unknown domain type 1"),
+    ({}, "unknown domain type None"),
+    ([], "domain file must hold a JSON object"),
+    (None, "domain file must hold a JSON object"),
+    (1, "domain file must hold a JSON object"),
+]
+
+
 def test_schema_errors_exit_1(tmp_path, capsys):
-    cases = [
-        {"type": "strip", "spine": [{"kind": "line", "length": 5}]},
-        {"type": "strip", "halfwidth": 1.0,
-         "spine": [{"kind": "arc", "length": 5}]},
-        {"type": "strip", "halfwidth": 2.0,
-         "spine": [{"kind": "arc", "length": 5, "curvature": 0.6}]},
-        {"type": "convex_polygon", "vertices": [[0, 0], [1, 0]]},
-        {"type": "wat"},
-        {"type": "pinocchio", "alpha": "x"},
-        {"type": "pinocchio", "alpha": True},
-        {"type": "pinocchio", "nose": [1]},
-        {"type": "bowtie", "gap": "wide"},
-        {"type": "two_ears", "theta": 10 ** 400},
-        {"type": "convex_polygon",
-         "vertices": [[0, 0], [1, 0], [0, 10 ** 400]]},
-        {"type": "strip", "halfwidth": 1.0,
-         "spine": [{"kind": "line", "length": 15, "curvature": "a"}]},
-    ]
-    for i, spec in enumerate(cases):
+    for i, (spec, message) in enumerate(SCHEMA_ERRORS):
         path = write_spec(tmp_path, f"case{i}.json", spec)
-        code, _, err = run_main(capsys, ["solve", path])
-        assert code == 1, spec
-        assert err.startswith("error:")
+        code, out, err = run_main(capsys, ["solve", path])
+        assert (code, out, err) == (1, "", f"error: {message}\n"), spec
+
+
+@pytest.mark.parametrize("command", ["solve", "render"])
+def test_unreadable_domain_file_exit_1(tmp_path, capsys, command):
+    path = str(tmp_path / "missing.json")
+    argv = {"solve": ["solve", path],
+            "render": ["render", path, str(tmp_path / "fig.svg")]}
+    code, out, err = run_main(capsys, argv[command])
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot read {path}: [Errno 2] No such file or "
+                   f"directory: {path!r}\n")
+
+
+# the fold rule is halfwidth*|curvature| < 1: the half-size copy of a strip
+# solves, with curvature 1.5, and h scales as 1/length
+HALF_SIZE_STRIP = strip_of({"kind": "arc", "length": 3.0, "curvature": 1.5},
+                           {"kind": "line", "length": 5.0}, halfwidth=0.5)
+DOUBLE_SIZE_STRIP = strip_of(
+    {"kind": "arc", "length": 6.0, "curvature": 0.75},
+    {"kind": "line", "length": 10.0})
+
+
+def test_half_size_strip_solves(tmp_path, capsys):
+    reports = []
+    for name, spec in [("half", HALF_SIZE_STRIP), ("double", DOUBLE_SIZE_STRIP)]:
+        path = write_spec(tmp_path, f"{name}.json", spec)
+        code, out, err = run_main(capsys, ["solve", path])
+        assert code == 0, err
+        reports.append(json.loads(out))
+    half, double = reports
+    assert all(c["pass"] for c in half["checks"])
+    assert [c["name"] for c in half["checks"]] == \
+        [c["name"] for c in double["checks"]]
+    assert half["h"] == pytest.approx(2.0 * double["h"], rel=1e-12)
+    assert double["h"] == pytest.approx(1.1012207666142126, rel=1e-12)
 
 
 json_values = st.recursive(
@@ -370,9 +456,9 @@ def test_console_entry_point(tmp_path):
     assert report["h"] == pytest.approx(2.0 + math.sqrt(math.pi), abs=1e-9)
 
 
-# One report per solve_domain branch, generated before the branches were
-# folded onto shared helpers: check names and verdicts in order, warnings,
-# bounds keys, iterations, and h and r to 1e-12 relative.
+# One report per branch of each cli.DOMAINS entry, generated before the
+# branches were folded onto shared helpers: check names and verdicts in
+# order, warnings, bounds keys, iterations, and h and r to 1e-12 relative.
 STRIP_BOUNDS = ["asymptotic", "krepra_lower", "krepra_upper"]
 RESIDUAL_RATIO = [("inner_cheeger_residual", True),
                   ("cheeger_ratio_identity", True)]
@@ -445,6 +531,9 @@ def test_long_serpentine_strip_passes_every_check():
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_report_pinned_per_branch(name):
+    # every entry of the domain table has a pinned report
+    assert {entry[0]["type"] for entry in PINNED_REPORTS.values()} == \
+        set(cli.DOMAINS)
     spec, allow_short, h, r, iterations, bounds, checks, warnings = \
         PINNED_REPORTS[name]
     report = cli.build_report(cli.solve_domain(spec, allow_short=allow_short))
@@ -459,8 +548,6 @@ def test_report_pinned_per_branch(name):
 
 SPEC_FIELDS = ("type", "halfwidth", "spine", "vertices", "theta", "alpha",
                "nose", "gap")
-DOMAIN_TYPES = ("strip", "convex_polygon", "pinocchio", "two_ears", "bowtie",
-                "two_balls")
 near_number = (st.floats(-0.5, 2.0) | st.integers(-1, 3)
                | st.sampled_from([0.5 * math.pi, 1e-300, 1e300, "auto"]))
 spine_piece = st.fixed_dictionaries(
@@ -486,10 +573,11 @@ near_polygon = st.fixed_dictionaries(
                          min_size=2, max_size=2) | json_values,
                 min_size=3, max_size=5)})
 near_gallery = st.fixed_dictionaries(
-    {"type": st.sampled_from(DOMAIN_TYPES[2:])},
+    {"type": st.sampled_from(sorted(set(cli.DOMAINS)
+                                    - {"strip", "convex_polygon"}))},
     optional={key: near_number for key in ("theta", "alpha", "nose", "gap")})
 any_fields = st.fixed_dictionaries(
-    {"type": st.sampled_from(DOMAIN_TYPES) | json_values},
+    {"type": st.sampled_from(sorted(cli.DOMAINS)) | json_values},
     optional={key: json_values for key in SPEC_FIELDS[1:]})
 any_object = st.dictionaries(st.sampled_from(SPEC_FIELDS) | st.text(max_size=3),
                              json_values, max_size=4)

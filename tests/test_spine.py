@@ -151,8 +151,16 @@ def test_rectangle_with_sub_tolerance_spine_piece_solves(first):
 
 
 def test_spine_curvature_limit():
-    with pytest.raises(InvalidGeometry):
-        spine.SpinePiece(1.0, 1.5)
+    # the limit is the strip's fold rule halfwidth*|curvature| < 1, not a
+    # bound on the piece: curvature 1.5 folds the halfwidth-1 strip, and
+    # the half-size copy of a strip (curvature 1.8, halfwidth 0.5) builds
+    with pytest.raises(NotADiffeomorphism):
+        spine.build_strip(spine.Spine((spine.SpinePiece(1.0, 1.5),)), 1.0)
+    half = spine.build_strip(spine.serpentine_spine(0.9, 20.0), 1.0).scaled(0.5)
+    assert half.spine.max_curvature == pytest.approx(1.8)
+    for kappa in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidGeometry):
+            spine.SpinePiece(1.0, kappa)
 
 
 def test_locate_roundtrip():
