@@ -238,11 +238,11 @@ def solve_convex(c: ConvexRegion) -> CheegerSolution:
 
     def measure(r: float) -> Tuple[float, float]:
         last.clear()
-        body = last[r] = inner_parallel_body(c, r).region
+        body = inner_parallel_body(c, r).region
+        last[r] = body, math.inf  # convex: infinite reach
         return body.area, body.perimeter
 
-    sol = _solve_inner_formula(measure, last.__getitem__, 1e-12 * hi, hi,
-                               reach_bound=math.inf)
+    sol = _solve_inner_formula(measure, last.__getitem__, 1e-12 * hi, hi)
     # rounding in the offset grows with the coordinates, not just the size
     scale = max(c.region.diameter, 1.0,
                 *(abs(v) for v in c.region.bounding_box))

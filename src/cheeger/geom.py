@@ -979,10 +979,13 @@ def offset_outward_disk(p: ArcPolygon, rho: float,
     result satisfies the Steiner identities
         area' = area + rho*perimeter + pi*rho^2
         perimeter' = perimeter + 2*pi*rho
-    whenever rho does not exceed the reach of the region.  Without a
-    `reach_bound` the region's reach is certified up to rho only
-    (reach_lower_bound capped at rho); a region whose certified bound falls
-    below rho raises ReachViolation, which names that bound.
+    whenever rho does not exceed the reach of the region.  A caller that
+    has proven a bound passes it as `reach_bound`: convex regions pass inf,
+    and strip solves pass rho where the strip lemma holds
+    (`solver._strip_reach`).  Without one the region's reach is certified
+    up to rho only (reach_lower_bound capped at rho); a region whose
+    certified bound falls below rho raises ReachViolation, which names that
+    bound.
     """
     if rho < 0.0:
         raise InvalidGeometry("offset distance must be nonnegative")

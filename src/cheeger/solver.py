@@ -6,8 +6,11 @@ increasing, so the inner Cheeger formula  area(E_r) = pi*r^2  has a unique
 root, found by safeguarded Newton steps on the exact derivative
 -perimeter(E_r) - 2*pi*r; the Cheeger set is the outward offset E_r + B_r
 and h = 1/r.  A strip's trial depths read area and perimeter from the float
-rows of E_r, and E_r is built once, at the root.  The same solve serves
-convex regions (`convex`).  An independent grid scan of the Cheeger ratio
+rows of E_r, and E_r is built once, at the root.  The offset needs
+reach(E_r) >= r; a lemma on the strip's rows proves it (`_strip_reach`),
+and only a strip outside the lemma's hypotheses gets the piece-pair scan
+of `geom.reach_lower_bound`.  The same solve serves convex regions
+(`convex`).  An independent grid scan of the Cheeger ratio
 over the same one-parameter family serves as a cross-check oracle.
 """
 from __future__ import annotations
@@ -85,8 +88,12 @@ def _chain_line_crossings(rows, line: tuple, offset: float) -> List[float]:
     return ts
 
 
-def _inner_rows(st: Strip, r: float) -> List[tuple]:
-    """E_r as piece rows (`geom._piece_row`), in the order of its loop.
+def _inner_loop(st: Strip, r: float) -> Tuple[List[tuple], int, float, float]:
+    """E_r as piece rows (`geom._piece_row`), in the order of its loop:
+    the lower level curve, the right trim (row k), the upper level curve
+    reversed and the left trim (the last row).  Returned as (rows, k,
+    t_left, t_right), where t_left is the larger spine parameter of the
+    left trim's corners and t_right the smaller one of the right trim's.
 
     Bounded by the two parallel curves at levels +-(s-r) and two trim
     segments parallel to the end segments at depth r.  The parallel curves
@@ -135,8 +142,107 @@ def _inner_rows(st: Strip, r: float) -> List[tuple]:
     if (math.hypot(brx - trx, bry - tr_y) <= min_len
             or math.hypot(tlx - blx, tly - bly) <= min_len):
         raise DegenerateInnerSet(f"trim segment degenerates at depth {r}")
-    return (bottom + [geom._segment_row(brx, bry, trx, tr_y)] + top
+    rows = (bottom + [geom._segment_row(brx, bry, trx, tr_y)] + top
             + [geom._segment_row(tlx, tly, blx, bly)])
+    return rows, len(bottom), max(tl_lo, tl_hi), min(tr_lo, tr_hi)
+
+
+def _inner_rows(st: Strip, r: float) -> List[tuple]:
+    """The rows of `_inner_loop`."""
+    return _inner_loop(st, r)[0]
+
+
+def _strip_reach(st: Strip, r: float, loop: tuple) -> Optional[float]:
+    """r, a lower bound on the reach of E_r, certified from the strip for
+    the loop (rows, k, t_left, t_right) of `_inner_loop`; None where a
+    hypothesis below fails, and the offset then runs the pair scan.
+
+    Notation: F(t, rho) = gamma(t) + rho*n(t) on [0, L] x [-s, s],
+    phi = rho o F^-1, theta(t) the direction angle of the spine, and for
+    the ends (a, u) of `Strip._ends`, g(x) = (x - a).u - r, with closed
+    half-planes H_L = {g_L >= 0} at the start and H_R = {g_R >= 0} at the
+    end, bounded by the trim lines.
+
+    (H1) `build_strip` made the strip (it is the only maker of a Strip):
+      s*max|kappa| < 1 and `geom.assert_simple` holds on the boundary.  So
+      F has Jacobian 1 - rho*kappa > 0 and is injective on the boundary of
+      its rectangle; every point has as many preimages as the boundary's
+      winding number about it, 0 or 1, and F is a homeomorphism onto the
+      closed strip.  Along any segment in the closed strip, phi is
+      1-Lipschitz with gradient n(t), and it rises at rate 1 only along a
+      fibre F(t, .), which is straight.
+    (H2) E_r lies in D_r = {d(., boundary) >= r}.  Checked here: every row
+      lies in H_L and H_R (the ends of a segment, the ends and the point
+      farthest out of the half-plane of an arc), the corners of each trim
+      lie on its own line, and t_left < t_right.
+      A level curve rho = const, |rho| <= s-r, turns with curvature
+      |kappa/(1 - rho*kappa)| < 1/(s - |rho|) <= 1/r, so before its
+      direction leaves theta(0) by pi/2 it has advanced more than r along
+      u: it meets the left trim line first with |theta - theta(0)| < pi/2.
+      So on [0, t_left], g_L(F(t, rho)) has t-derivative
+      (1 - rho*kappa) cos(theta(t) - theta(0)) > 0.  It is -r at t = 0,
+      and >= 0 on the fibre at t_left, which is linear in rho and >= 0 at
+      both ends (one is a corner, the other lies past its own crossing).
+      So for |rho| <= s-r it has one zero t*(rho) there, continuous in
+      rho, and rho -> F(t*(rho), rho) runs along the left trim line from
+      corner to corner: it is the left trim.  Likewise the right trim on
+      [t_right, L], and t_left < t_right keeps them apart.  So the loop
+      is F of a simple loop in the band |rho| <= s-r, and E_r has
+      |phi| <= s-r.  Take y in E_r, a boundary point b, and z the first
+      boundary point on [y, b].  If z is on a side (|phi| = s), phi gives
+      |y - z| >= r; if z is on an end segment, the half-planes do.
+    (H3) every corner of the left trim is at least 2r from every corner
+      of the right trim.
+
+    Proof of reach(E_r) >= r.  Let x lie at distance delta < r from E_r,
+    and p be a nearest point of E_r.
+    - p inside a level curve, say phi(p) = s-r: x = F(t_p, s-r+delta).
+      For y in E_r within r of x, [x, y] lies in the ball of radius r
+      about y, inside the closed strip by (H2), so
+      |x - y| >= phi(x) - phi(y) >= delta, with equality only on p's
+      fibre, at y = p.
+    - p inside a trim: x = p - delta*u and g >= 0 on E_r give the same.
+    - Otherwise every nearest point is a corner.  Two corners of one trim
+      cannot both be nearest, as the trim's midpoint would be nearer, and
+      corners of different trims are 2r > 2*delta apart by (H3).
+    So every point within r of E_r has one nearest point, which is
+    reach >= r (Federer, Trans. AMS 93, 1959).
+
+    Slack: the checks compare lengths up to tol = 1e-12*(largest
+    |coordinate| + diameter) of the strip's boundary.  The rows meet the
+    trim lines at the corners to within about 1e-14*r, the rounding of
+    their coordinates.  So a row may lie up to tol outside a trim's
+    half-plane and a trim's corners up to tol off its line: within the
+    relative 1e-12 that `geom.offset_outward_disk` grants any reach bound
+    (it accepts reach_bound >= rho*(1 - 1e-12)).
+    """
+    rows, k, t_left, t_right = loop
+    bbox = st.boundary.bounding_box
+    tol = 1e-12 * (max(map(abs, bbox)) + st.boundary.diameter)
+    if not t_right - t_left > tol:
+        return None
+    left, right = rows[-1][1], rows[k][1]
+    for (ax, ay, ux, uy), trim in zip(st._ends, (left, right)):
+        for is_arc, v in rows:
+            low = min((v[0] - ax) * ux + (v[1] - ay) * uy,
+                      (v[2] - ax) * ux + (v[3] - ay) * uy)
+            if is_arc:
+                cx, cy, radius, ccw, a0, sweep = v[4:]
+                phi = math.atan2(-uy, -ux)
+                off = (phi - a0) % geom.TAU if ccw else (a0 - phi) % geom.TAU
+                if (off <= sweep + geom.ARC_END_SLACK
+                        or off >= geom.TAU - geom.ARC_END_SLACK):
+                    low = min(low, (cx - ax) * ux + (cy - ay) * uy - radius)
+            if low < r - tol:
+                return None
+        if max((trim[0] - ax) * ux + (trim[1] - ay) * uy,
+               (trim[2] - ax) * ux + (trim[3] - ay) * uy) > r + tol:
+            return None
+    for lx, ly in (left[:2], left[2:4]):
+        for rx, ry in (right[:2], right[2:4]):
+            if math.hypot(lx - rx, ly - ry) < 2.0 * r + tol:
+                return None
+    return r
 
 
 def _inner_measures(st: Strip, r: float) -> Tuple[float, float]:
@@ -156,14 +262,15 @@ def inner_set(st: Strip, r: float) -> ArcPolygon:
 # root solve
 
 
-def _solve_inner_formula(measure: Callable[[float], Tuple[float, float]],
-                         build: Callable[[float], ArcPolygon], lo: float,
-                         hi: float, reach_bound: Optional[float] = None
-                         ) -> CheegerSolution:
+def _solve_inner_formula(
+        measure: Callable[[float], Tuple[float, float]],
+        build: Callable[[float], Tuple[ArcPolygon, Optional[float]]],
+        lo: float, hi: float) -> CheegerSolution:
     """Solve area(E_r) = pi*r^2 on (lo, hi) and offset E_r back by r.
 
     `measure(r)` gives (area, perimeter) of the inner set E_r, and
-    `build(r)` the set itself; it is called once, at the root, which is
+    `build(r)` the set itself with a lower bound on its reach, or None for
+    the offset to certify one; it is called once, at the root, which is
     the depth measured last.
     f(r) = area(E_r) - pi*r^2 has the exact derivative
     f'(r) = -perimeter(E_r) - 2*pi*r (coarea formula), so the root is found
@@ -176,7 +283,7 @@ def _solve_inner_formula(measure: Callable[[float], Tuple[float, float]],
     with the bracket's upper end at an infeasible depth and |f| above
     RESIDUAL_TOL*pi*r^2 has closed onto the depth where E_r stops existing,
     not onto a root, and raises NoRoot.  The Cheeger set is E_r + B_r,
-    offset under `reach_bound`.
+    offset under the reach bound of `build`.
     """
 
     def f(r: float) -> Tuple[float, float]:
@@ -209,7 +316,7 @@ def _solve_inner_formula(measure: Callable[[float], Tuple[float, float]],
             break
     if f_hi == -math.inf and abs(val) > RESIDUAL_TOL * math.pi * r * r:
         raise NoRoot(f"the sign change at depth {r} borders infeasible depths")
-    e_r = build(r)
+    e_r, reach_bound = build(r)
     cheeger = geom.offset_outward_disk(e_r, r, reach_bound)
     return CheegerSolution(r=r, h=1.0 / r, inner_set=e_r, cheeger_set=cheeger,
                            residual=abs(val), iterations=iterations)
@@ -234,9 +341,18 @@ def solve_strip(st: Strip, allow_short: bool = False) -> CheegerSolution:
         warnings.append(
             "uncertified: normalized length below 9*pi/2, the four-arc "
             "structure and uniqueness are not guaranteed")
-    sol = _solve_inner_formula(lambda r: _inner_measures(st, r),
-                               lambda r: inner_set(st, r), 1e-9 * s,
-                               s * (1.0 - 1e-9))
+    last: dict = {}  # the loop of E_r at the depth measured last, the root
+
+    def measure(r: float) -> Tuple[float, float]:
+        last.clear()
+        loop = last[r] = _inner_loop(st, r)
+        area, perimeter, _, _, _ = geom._loop_measures(loop[0])
+        return area, perimeter
+
+    def build(r: float) -> Tuple[ArcPolygon, Optional[float]]:
+        return inner_set(st, r), _strip_reach(st, r, last[r])
+
+    sol = _solve_inner_formula(measure, build, 1e-9 * s, s * (1.0 - 1e-9))
     bounds = StripBounds(krepra_lower=(1.0 + 1.0 / (400.0 * L_norm)) / s,
                          krepra_upper=(1.0 + 2.0 / L_norm) / s,
                          asymptotic=(1.0 + math.pi / (2.0 * L_norm)) / s)

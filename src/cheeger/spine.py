@@ -206,7 +206,9 @@ def _level_rows(spine: Spine, level: float) -> List[LevelRow]:
     so the pieces built from a row equal the ones that evaluation builds,
     bit for bit.  Every check its Vec2, Segment and Arc
     constructors make is made here, at the same piece and in the same
-    order, with the same exception type and message.
+    order, with the same exception type and message, except the Arc
+    endpoint-on-circle check, which cannot fail on finite ends (`_sub_rows`
+    says why).
     """
     rows: List[LevelRow] = []
     for i, piece in enumerate(spine.pieces):
@@ -252,10 +254,6 @@ def _level_rows(spine: Spine, level: float) -> List[LevelRow]:
         if sweep == 0.0:
             raise InvalidGeometry(
                 f"arc sweep must lie in (0, 2*pi), got {abs(sweep)}")
-        tol = 1e-12 * (radius + abs(cx) + abs(cy) + 1.0)
-        if (abs(math.hypot(asx - cx, asy - cy) - radius) > tol
-                or abs(math.hypot(aex - cx, aey - cy) - radius) > tol):
-            raise InvalidGeometry("arc endpoint does not lie on its circle")
         rows.append((True, t0, t1, (asx, asy, aex, aey, cx, cy, radius,
                                     math.atan2(asy - cy, asx - cx), sweep)))
     return rows
@@ -289,7 +287,12 @@ def _sub_rows(rows: Sequence[LevelRow], t_from: float, t_to: float,
     row's piece would compute it.  The rows are made in chain order either
     way, and each makes the checks its Vec2 and Arc or Segment constructors
     would make, in their order, with the same exception type and message;
-    a reversed sub-piece is made already reversed.
+    a reversed sub-piece is made already reversed.  Two of the Arc checks
+    cannot fail on rows of `_level_rows`, so they are not made: the radius
+    |1/kappa - level| is above 1e-12 and finite there, and an end
+    cx + cos(a)*radius (likewise y) that is finite lies within a few
+    rounding units of (|cx| + |cy| + radius) of the circle, far inside the
+    on-circle tolerance 1e-12*(radius + |cx| + |cy| + 1).
     """
     if not t_from < t_to:
         raise DomainError("empty parameter range")
@@ -310,16 +313,10 @@ def _sub_rows(rows: Sequence[LevelRow], t_from: float, t_to: float,
             x1, y1 = cx + math.cos(a1) * radius, cy + math.sin(a1) * radius
             if not math.isfinite(x0 + y0 + x1 + y1 + cx + cy):
                 _require_finite(x0, y0, x1, y1, cx, cy)
-            if not (radius > 0.0 and math.isfinite(radius)):
-                raise InvalidGeometry(f"arc radius must be positive, got {radius}")
             span = abs(sub)
             if not 0.0 < span < geom.TAU:
                 raise InvalidGeometry(
                     f"arc sweep must lie in (0, 2*pi), got {span}")
-            tol = 1e-12 * (radius + abs(cx) + abs(cy) + 1.0)
-            if (abs(math.hypot(x0 - cx, y0 - cy) - radius) > tol
-                    or abs(math.hypot(x1 - cx, y1 - cy) - radius) > tol):
-                raise InvalidGeometry("arc endpoint does not lie on its circle")
             if reverse:
                 x0, y0, x1, y1 = x1, y1, x0, y0
             out.append((True, (x0, y0, x1, y1, cx, cy, radius,

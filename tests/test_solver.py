@@ -132,7 +132,8 @@ def solve_family(inner, lo: float, hi: float):
         e = inner(r)
         return e.area, e.perimeter
 
-    return solver._solve_inner_formula(measure, inner, lo, hi, math.inf)
+    return solver._solve_inner_formula(
+        measure, lambda r: (inner(r), math.inf), lo, hi)
 
 
 def test_newton_solves_linear_formula_in_one_step():
