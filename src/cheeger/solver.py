@@ -223,13 +223,13 @@ def _strip_reach(st: Strip, r: float, loop: tuple) -> Optional[float]:
         return None
     left, right = rows[-1][1], rows[k][1]
     for (ax, ay, ux, uy), trim in zip(st._ends, (left, right)):
+        back = math.atan2(-uy, -ux)  # where a circle lies farthest out
         for is_arc, v in rows:
             low = min((v[0] - ax) * ux + (v[1] - ay) * uy,
                       (v[2] - ax) * ux + (v[3] - ay) * uy)
             if is_arc:
                 cx, cy, radius, ccw, a0, sweep = v[4:]
-                phi = math.atan2(-uy, -ux)
-                off = (phi - a0) % geom.TAU if ccw else (a0 - phi) % geom.TAU
+                off = (back - a0) % geom.TAU if ccw else (a0 - back) % geom.TAU
                 if (off <= sweep + geom.ARC_END_SLACK
                         or off >= geom.TAU - geom.ARC_END_SLACK):
                     low = min(low, (cx - ax) * ux + (cy - ay) * uy - radius)
