@@ -25,6 +25,12 @@ read.  The digest holds the sha256 of:
     a file that holds no JSON object, a file that cannot be read) and on
     the six domain examples of README.md.
 Each workload also reports how many reports, failures and offsets it made.
+Beside the hashes, the digest lists in plain text, one line each, what a
+diff should name when a hash moves: the operation, h, r (`float.hex`),
+iterations and check verdicts of every ladder and oracles report, and the
+exit code and stderr of every `cheeger solve` run.
+Compare two checkouts by running one copy of this script in both: its
+`ROOT` is the checkout it is copied into.
 """
 from __future__ import annotations
 
@@ -65,14 +71,26 @@ def outcome(fn, *args):
         return [type(exc).__name__, str(exc)]
 
 
+def report_line(op: str, report: dict) -> str:
+    """op, h, r, iterations and check verdicts of a report, on one line."""
+    h, r = (hexed(v) if isinstance(v, float) else v
+            for v in (report["h"], report["r"]))
+    checks = " ".join(f"{c['name']}={'pass' if c['pass'] else 'FAIL'}"
+                      for c in report["checks"])
+    return (f"{op}: h={h} r={r} iterations={report['iterations']} "
+            f"{checks}")
+
+
 def run_workload(name: str, seed: int) -> dict:
-    reports, failures, offsets = [], [], []
+    reports, failures, offsets, lines = [], [], [], []
     build_report = cli.build_report
     offset = geom.offset_outward_disk
+    current = [""]  # the operation running
 
     def recording_report(out):
         report = build_report(out)
         reports.append(json.dumps(report, sort_keys=True))
+        lines.append(report_line(current[0], report))
         return report
 
     def recording_offset(p, rho, reach_bound=None):
@@ -91,13 +109,17 @@ def run_workload(name: str, seed: int) -> dict:
     try:
         for op in workloads.build(name, seed):
             workloads.clear_caches()
+            current[0] = op.name
             failures.append([op.name, outcome(op.run)])
     finally:
         cli.build_report = build_report
         geom.offset_outward_disk = offset
-    return {"reports": sha(reports), "failures": sha(failures),
-            "offsets": sha(offsets), "count": [len(reports), len(failures),
-                                               len(offsets)]}
+    digest = {"reports": sha(reports), "failures": sha(failures),
+              "offsets": sha(offsets), "count": [len(reports), len(failures),
+                                                 len(offsets)]}
+    if name in ("ladder", "oracles"):
+        digest["report_lines"] = lines
+    return digest
 
 
 def suite_checks(name: str) -> str:
@@ -196,9 +218,9 @@ def readme_specs() -> list:
             for chunk in re.split(r"\n(?=\{)", block.strip())]
 
 
-def solve_outcomes(specs: list, flags: list, missing: bool = False) -> str:
-    """sha of [exit code, stdout, stderr] of `cheeger solve` with `flags`
-    on each spec, and on a file that does not exist if `missing`."""
+def solve_outcomes(specs: list, flags: list, missing: bool = False) -> list:
+    """[exit code, stdout, stderr] of `cheeger solve` with `flags` on each
+    spec, and on a file that does not exist if `missing`."""
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -215,17 +237,26 @@ def solve_outcomes(specs: list, flags: list, missing: bool = False) -> str:
                 code = cli.main(["solve", *flags, path])
             results.append([code, out.getvalue(),
                             err.getvalue().replace(tmp, "<tmp>")])
-    return sha(results)
+    return results
+
+
+def exit_lines(results: list) -> list:
+    """One line per `solve_outcomes` result: its exit code and stderr."""
+    return [f"spec {k}: exit {code} {err.strip()}"
+            for k, (code, _, err) in enumerate(results)]
 
 
 def main() -> int:
+    short = solve_outcomes(short_strip_specs(), ["--allow-short-strip"])
+    errors = solve_outcomes(schema_error_specs() + readme_specs(), [],
+                            missing=True)
     digest = {"workloads": {f"{name}/{seed}": run_workload(name, seed)
                             for name in workloads.BUILDERS for seed in SEEDS},
               "suites": {name: suite_checks(name) for name in verify.SUITES},
-              "cli_solve": solve_outcomes(short_strip_specs(),
-                                          ["--allow-short-strip"]),
-              "cli_errors": solve_outcomes(
-                  schema_error_specs() + readme_specs(), [], missing=True)}
+              "cli_solve": sha(short),
+              "cli_solve_lines": exit_lines(short),
+              "cli_errors": sha(errors),
+              "cli_errors_lines": exit_lines(errors)}
     print(json.dumps(digest, indent=1, sort_keys=True))
     return 0
 

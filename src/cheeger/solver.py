@@ -5,13 +5,15 @@ from the boundary.  Its area is strictly decreasing in r while pi*r^2 is
 increasing, so the inner Cheeger formula  area(E_r) = pi*r^2  has a unique
 root, found by safeguarded Newton steps on the exact derivative
 -perimeter(E_r) - 2*pi*r; the Cheeger set is the outward offset E_r + B_r
-and h = 1/r.  A strip's trial depths read area and perimeter from the float
-rows of E_r, and E_r is built once, at the root.  The offset needs
+and h = 1/r.  A strip's trial depths read area and perimeter from the band
+identity (`_strip_measures`), which makes only the level rows near the
+strip's ends, and E_r is built once, at the root.  The offset needs
 reach(E_r) >= r; a lemma on the strip's rows proves it (`_strip_reach`),
 and only a strip outside the lemma's hypotheses gets the piece-pair scan
 of `geom.reach_lower_bound`.  The same solve serves convex regions
-(`convex`).  An independent grid scan of the Cheeger ratio
-over the same one-parameter family serves as a cross-check oracle.
+(`convex`).  An independent grid scan of the Cheeger ratio over the same
+one-parameter family, measured on the rows of E_r, serves as a
+cross-check oracle.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ from . import geom
 from .errors import (DegenerateInnerSet, DomainError, EmptyInnerSet, NoRoot,
                      PropertyViolation)
 from .geom import Arc, ArcPolygon, Vec2
-from .spine import Strip, _level_rows, _require_finite, _sub_rows
+from .spine import (Strip, _level_row, _level_rows, _require_finite,
+                    _sub_rows)
 
 RESIDUAL_TOL = 1e-10  # largest |f(r)| / (pi*r^2) accepted at the root
 MAX_ITERATIONS = 200
@@ -252,6 +255,217 @@ def _inner_measures(st: Strip, r: float) -> Tuple[float, float]:
     return area, perimeter
 
 
+def _level_part(row: tuple, x0: float, y0: float, x1: float, y1: float,
+                u: float, reverse: bool = False) -> tuple:
+    """The piece row (`geom._piece_row`) of the part of a level row from
+    its point (x0, y0) to its point (x1, y1), a fraction u of the row,
+    run against the row's sense if `reverse`."""
+    is_arc, _, _, v = row
+    if not is_arc:
+        return geom._segment_row(x0, y0, x1, y1)
+    cx, cy, radius, _, sweep = v[4:]
+    return True, (x0, y0, x1, y1, cx, cy, radius, (sweep > 0.0) != reverse,
+                  math.atan2(y0 - cy, x0 - cx), abs(sweep) * u)
+
+
+def _strip_ends(st: Strip, r: float) -> tuple:
+    """Where the level curves of E_r meet its trims, found on the level
+    rows near the strip's ends, with the errors of `_inner_loop`
+    (`_strip_measures` says why they agree).
+
+    Returns (rows, crossings, ends, corners): the level rows made at
+    -(s - r) and s - r, each a dict by piece index; the crossings
+    (lower left, lower right, upper left, upper right) whose extremes
+    `_inner_loop` returns; the first and last piece of each trimmed
+    level curve (lower first, lower last, upper first, upper last); and
+    the trims' ends, (x, y) of the lower left, lower right, upper right
+    and upper left corner.
+    """
+    s = st.halfwidth
+    if r >= s:
+        raise EmptyInnerSet(f"depth {r} is not below the halfwidth {s}")
+    if r <= 0.0:
+        raise DomainError("depth must be positive")
+    spine = st.spine
+    n, c = len(spine.pieces), s - r
+    left, right = st._ends
+    made: Tuple[dict, dict] = ({}, {})
+
+    def row(side: int, i: int) -> tuple:
+        rows = made[side]
+        if i not in rows:
+            rows[i] = _level_row(spine, i, c if side else -c)
+        return rows[i]
+
+    def first_cross(side: int) -> Tuple[float, int]:
+        best = math.inf
+        for i in range(n):
+            rw = row(side, i)
+            if rw[1] >= best:
+                return best, i
+            best = min([best] + _chain_line_crossings([rw], left, r))
+        if best == math.inf:
+            raise DegenerateInnerSet("no left trim crossing at this depth")
+        return best, n - 1
+
+    def last_cross(side: int) -> float:
+        best = -math.inf
+        for i in range(n - 1, -1, -1):
+            rw = row(side, i)
+            if rw[2] < best:
+                break
+            best = max([best] + _chain_line_crossings([rw], right, r))
+        if best == -math.inf:
+            raise DegenerateInnerSet("no right trim crossing at this depth")
+        return best
+
+    tl_lo, stop_lo = first_cross(0)
+    tr_lo = last_cross(0)
+    tl_hi, stop_hi = first_cross(1)
+    tr_hi = last_cross(1)
+    if tl_lo >= tr_lo or tl_hi >= tr_hi:
+        raise DegenerateInnerSet(
+            f"end trims cross at depth {r} (strip too short)")
+
+    def trimmed(side: int, t_from: float, t_to: float, stop: int):
+        """(k, first sub-row, m, last sub-row) of a trimmed level curve,
+        pieces k <= m, or None where it is empty."""
+        for k in range(stop + 1):
+            first = _sub_rows([row(side, k)], t_from, t_to, bool(side))
+            if first:
+                break
+        else:
+            return None
+        for m in range(n - 1, k, -1):
+            last = _sub_rows([row(side, m)], t_from, t_to, bool(side))
+            if last:
+                return k, first[0], m, last[0]
+        return k, first[0], k, first[0]
+
+    lower = trimmed(0, tl_lo, tr_lo, stop_lo)
+    upper = trimmed(1, tl_hi, tr_hi, stop_hi)
+    if lower is None or upper is None:
+        raise DegenerateInnerSet(
+            f"a trimmed level curve is empty at depth {r} (strip too short)")
+    # the upper sub-rows run reversed: the first ends on the left trim
+    corners = (lower[1][1][:2] + lower[3][1][2:4] + upper[3][1][:2]
+               + upper[1][1][2:4])
+    blx, bly, brx, bry, trx, tr_y, tlx, tly = corners
+    min_len = 1e-12 * max(spine.length, 1.0)
+    if (math.hypot(brx - trx, bry - tr_y) <= min_len
+            or math.hypot(tlx - blx, tly - bly) <= min_len):
+        raise DegenerateInnerSet(f"trim segment degenerates at depth {r}")
+    return (made, (tl_lo, tr_lo, tl_hi, tr_hi),
+            (lower[0], lower[2], upper[0], upper[2]), corners)
+
+
+def _strip_measures(st: Strip, r: float) -> Tuple[float, float]:
+    """(area, perimeter) of inner_set(st, r) from the band identity, with
+    the errors of `_inner_loop`; only level rows near the ends are made.
+
+    Let c = s - r and F(t, rho) = gamma(t) + rho*n(t).
+    - Area.  Signed Green areas add over chains.  The band loop (the level
+      curves at -c and +c and the end fibres) is F of the boundary of
+      [0, L] x [-c, c], so its signed area is the integral of the Jacobian
+      1 - rho*kappa there, by change of variables piece by piece, which
+      needs no injectivity: 2cL, as the rho term is odd.  As chains it is
+      E_r's loop plus two caps closed by the trims run backwards: an end
+      fibre, the level parts from it to the trim's corners, and the trim.
+      So |E_r| = 2cL - cap_L - cap_R, the caps' signed areas taken from
+      `geom._loop_measures`.  Each cap's last level part ends on the
+      corner that `spine._sub_rows` computes, so the chains cancel exactly.
+    - Perimeter.  s*max|kappa| < 1, so the level curve at rho has length
+      the integral of 1 - rho*kappa, dt - rho*d(theta) over its trimmed
+      range; the trims add their lengths, corner to corner.
+    - Rows near the ends.  `_chain_line_crossings` puts a row's crossings
+      in [t0, the float after t1].  So scanning rows from the start until
+      one starts at or after the least crossing so far, and from the end
+      until one ends before the greatest, gives `_inner_loop`'s minimum
+      and maximum bit for bit.  `_sub_rows` drops a row only where it
+      meets [t_left, t_right] in at most 1e-12 of its length, which only
+      an end row of that range can do: the first kept row lies at or
+      before the row where the left scan stopped, and if that one is
+      dropped, every row is.
+    - Checks.  Those of `_inner_loop` that can fail are made on the same
+      rows, in the same order: r in (0, s), each crossing, crossing trims,
+      the sub-rows at the four corners, an empty trimmed curve and a
+      degenerate trim.  `build_strip` made the rows at +-s pass the others.
+      A row at |rho| <= s has their sweep and turn, a radius |1/kappa -
+      rho| no less than the smaller of theirs (float subtraction is
+      monotone), coordinates between theirs, and ends that coincide only
+      where the piece is shorter than their rounding, as at +-s; a middle
+      sub-row is a whole row.  The loops of E_r and of the caps have at
+      least two pieces, a trim longer than 1e-12*max(L, 1), and junctions
+      that are shared corners or those of consecutive rows, which lie
+      rounding apart.  A cap whose level parts all round to points is its
+      fibre and trim, meeting at both ends: it counts 0, where
+      `_loop_measures` would call it empty.  Any other cap is at least a
+      rounding unit of its coordinates wide, far above the
+      (1e-12*diameter)^2 that `_loop_measures` asks for.
+    """
+    (lo, hi), (tl_lo, tr_lo, tl_hi, tr_hi), (k_lo, m_lo, k_hi, m_hi), \
+        corners = _strip_ends(st, r)
+    blx, bly, brx, bry, trx, tr_y, tlx, tly = corners
+    spine = st.spine
+    n, L, c = len(spine.pieces), spine.length, st.halfwidth - r
+
+    def whole(rw: tuple, reverse: bool = False) -> tuple:
+        sx, sy, ex, ey = rw[3][:4]
+        if reverse:
+            return _level_part(rw, ex, ey, sx, sy, 1.0, True)
+        return _level_part(rw, sx, sy, ex, ey, 1.0)
+
+    def share(rw: tuple, t: float) -> float:
+        return (t - rw[1]) / (rw[2] - rw[1])  # as `_sub_rows` computes it
+
+    lo_k, hi_k, lo_m, hi_m = lo[k_lo], hi[k_hi], lo[m_lo], hi[m_hi]
+    cap_l = [geom._segment_row(*hi[0][3][:2], *lo[0][3][:2])]
+    cap_l += [whole(lo[i]) for i in range(k_lo)]
+    if tl_lo > lo_k[1]:
+        cap_l.append(_level_part(lo_k, *lo_k[3][:2], blx, bly,
+                                 share(lo_k, tl_lo)))
+    cap_l.append(geom._segment_row(blx, bly, tlx, tly))
+    if tl_hi > hi_k[1]:
+        cap_l.append(_level_part(hi_k, tlx, tly, *hi_k[3][:2],
+                                 share(hi_k, tl_hi), True))
+    cap_l += [whole(hi[i], True) for i in range(k_hi - 1, -1, -1)]
+
+    cap_r = []
+    if tr_lo < lo_m[2]:
+        cap_r.append(_level_part(lo_m, brx, bry, *lo_m[3][2:4],
+                                 1.0 - share(lo_m, tr_lo)))
+    cap_r += [whole(lo[i]) for i in range(m_lo + 1, n)]
+    cap_r.append(geom._segment_row(*lo[n - 1][3][2:4], *hi[n - 1][3][2:4]))
+    cap_r += [whole(hi[i], True) for i in range(n - 1, m_hi, -1)]
+    if tr_hi < hi_m[2]:
+        cap_r.append(_level_part(hi_m, *hi_m[3][2:4], trx, tr_y,
+                                 1.0 - share(hi_m, tr_hi), True))
+    cap_r.append(geom._segment_row(trx, tr_y, brx, bry))
+
+    def signed_area(cap: List[tuple]) -> float:
+        # a part whose ends round together has no area (a whole row turns
+        # less than a full turn), and a cap left with its fibre and trim,
+        # which meet at both ends, has none
+        cap = [part for part in cap if part[1][:2] != part[1][2:4]]
+        if len(cap) == 2:
+            return 0.0
+        a, _, _, _, clockwise = geom._loop_measures(cap)
+        return -a if clockwise else a
+
+    # _loop_measures measures a clockwise E_r reversed
+    area = abs(2.0 * c * L - signed_area(cap_l) - signed_area(cap_r))
+    theta = spine.direction_angle
+
+    def level_length(level: float, t_from: float, t_to: float) -> float:
+        return t_to - t_from - level * (theta(t_to) - theta(t_from))
+
+    perimeter = (level_length(-c, max(tl_lo, lo_k[1]), min(tr_lo, lo_m[2]))
+                 + level_length(c, max(tl_hi, hi_k[1]), min(tr_hi, hi_m[2]))
+                 + math.hypot(brx - trx, bry - tr_y)
+                 + math.hypot(tlx - blx, tly - bly))
+    return area, perimeter
+
+
 def inner_set(st: Strip, r: float) -> ArcPolygon:
     """Region of the strip at distance >= r from its boundary: the loop of
     `_inner_rows`, each piece built once."""
@@ -341,16 +555,12 @@ def solve_strip(st: Strip, allow_short: bool = False) -> CheegerSolution:
         warnings.append(
             "uncertified: normalized length below 9*pi/2, the four-arc "
             "structure and uniqueness are not guaranteed")
-    last: dict = {}  # the loop of E_r at the depth measured last, the root
 
     def measure(r: float) -> Tuple[float, float]:
-        last.clear()
-        loop = last[r] = _inner_loop(st, r)
-        area, perimeter, _, _, _ = geom._loop_measures(loop[0])
-        return area, perimeter
+        return _strip_measures(st, r)
 
     def build(r: float) -> Tuple[ArcPolygon, Optional[float]]:
-        return inner_set(st, r), _strip_reach(st, r, last[r])
+        return inner_set(st, r), _strip_reach(st, r, _inner_loop(st, r))
 
     sol = _solve_inner_formula(measure, build, 1e-9 * s, s * (1.0 - 1e-9))
     bounds = StripBounds(krepra_lower=(1.0 + 1.0 / (400.0 * L_norm)) / s,

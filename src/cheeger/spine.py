@@ -210,53 +210,55 @@ def _level_rows(spine: Spine, level: float) -> List[LevelRow]:
     endpoint-on-circle check, which cannot fail on finite ends (`_sub_rows`
     says why).
     """
-    rows: List[LevelRow] = []
-    for i, piece in enumerate(spine.pieces):
-        t0, p0, theta0 = spine._states[i]
-        length = piece.length
-        t1 = t0 + length
-        ux, uy = math.cos(theta0), math.sin(theta0)
-        lx, ly = -uy * level, ux * level  # level * unit_from_angle(theta0).perp()
-        sx, sy = p0.x + lx, p0.y + ly
-        k = piece.curvature
-        if k == 0.0:
-            ex, ey = sx + ux * length, sy + uy * length
-            if not math.isfinite(sx + sy + ex + ey):
-                _require_finite(lx, ly, sx, sy, ex, ey)
-            if sx == ex and sy == ey:
-                raise InvalidGeometry("zero-length segment")
-            rows.append((False, t0, t1, (sx, sy, ex, ey)))
-            continue
-        if abs(k) * length >= geom.TAU:
-            _require_finite(lx, ly, sx, sy)
-            raise SelfIntersecting(
-                f"spine piece {i} turns by {abs(k) * length:.3f} rad "
-                ">= 2*pi; the strip overlaps itself")
-        inv = 1.0 / k
-        ox, oy = -uy * inv, ux * inv
-        cx, cy = p0.x + ox, p0.y + oy
-        radius = abs(inv - level)
-        if radius <= 1e-12:
-            _require_finite(lx, ly, sx, sy, ox, oy, cx, cy)
-            raise NotADiffeomorphism(
-                f"parallel curve at level {level} collapses on piece {i}")
-        vx, vy = sx - cx, sy - cy
-        a0 = math.atan2(vy, vx)
-        sweep = k * length
-        a1 = a0 + sweep
-        rx0, ry0 = math.cos(a0) * radius, math.sin(a0) * radius
-        rx1, ry1 = math.cos(a1) * radius, math.sin(a1) * radius
-        asx, asy, aex, aey = cx + rx0, cy + ry0, cx + rx1, cy + ry1
-        if not math.isfinite(sx + sy + cx + cy + vx + vy + asx + asy
-                             + aex + aey):
-            _require_finite(lx, ly, sx, sy, ox, oy, cx, cy, vx, vy,
-                            rx0, ry0, asx, asy, rx1, ry1, aex, aey)
-        if sweep == 0.0:
-            raise InvalidGeometry(
-                f"arc sweep must lie in (0, 2*pi), got {abs(sweep)}")
-        rows.append((True, t0, t1, (asx, asy, aex, aey, cx, cy, radius,
-                                    math.atan2(asy - cy, asx - cx), sweep)))
-    return rows
+    return [_level_row(spine, i, level) for i in range(len(spine.pieces))]
+
+
+def _level_row(spine: Spine, i: int, level: float) -> LevelRow:
+    """The row of `_level_rows` for spine piece i, with its checks."""
+    piece = spine.pieces[i]
+    t0, p0, theta0 = spine._states[i]
+    length = piece.length
+    t1 = t0 + length
+    ux, uy = math.cos(theta0), math.sin(theta0)
+    lx, ly = -uy * level, ux * level  # level * unit_from_angle(theta0).perp()
+    sx, sy = p0.x + lx, p0.y + ly
+    k = piece.curvature
+    if k == 0.0:
+        ex, ey = sx + ux * length, sy + uy * length
+        if not math.isfinite(sx + sy + ex + ey):
+            _require_finite(lx, ly, sx, sy, ex, ey)
+        if sx == ex and sy == ey:
+            raise InvalidGeometry("zero-length segment")
+        return False, t0, t1, (sx, sy, ex, ey)
+    if abs(k) * length >= geom.TAU:
+        _require_finite(lx, ly, sx, sy)
+        raise SelfIntersecting(
+            f"spine piece {i} turns by {abs(k) * length:.3f} rad "
+            ">= 2*pi; the strip overlaps itself")
+    inv = 1.0 / k
+    ox, oy = -uy * inv, ux * inv
+    cx, cy = p0.x + ox, p0.y + oy
+    radius = abs(inv - level)
+    if radius <= 1e-12:
+        _require_finite(lx, ly, sx, sy, ox, oy, cx, cy)
+        raise NotADiffeomorphism(
+            f"parallel curve at level {level} collapses on piece {i}")
+    vx, vy = sx - cx, sy - cy
+    a0 = math.atan2(vy, vx)
+    sweep = k * length
+    a1 = a0 + sweep
+    rx0, ry0 = math.cos(a0) * radius, math.sin(a0) * radius
+    rx1, ry1 = math.cos(a1) * radius, math.sin(a1) * radius
+    asx, asy, aex, aey = cx + rx0, cy + ry0, cx + rx1, cy + ry1
+    if not math.isfinite(sx + sy + cx + cy + vx + vy + asx + asy
+                         + aex + aey):
+        _require_finite(lx, ly, sx, sy, ox, oy, cx, cy, vx, vy,
+                        rx0, ry0, asx, asy, rx1, ry1, aex, aey)
+    if sweep == 0.0:
+        raise InvalidGeometry(
+            f"arc sweep must lie in (0, 2*pi), got {abs(sweep)}")
+    return True, t0, t1, (asx, asy, aex, aey, cx, cy, radius,
+                          math.atan2(asy - cy, asx - cx), sweep)
 
 
 def level_chain(spine: Spine, level: float) -> List[Tuple[BoundaryPiece, float, float]]:

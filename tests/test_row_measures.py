@@ -1,10 +1,11 @@
 """Inner-set measures on float rows against the pieces they replace.
 
-The root solve and the ratio-scan oracle read the area and perimeter of a
-strip's inner set from its piece rows (`solver._inner_measures`:
-`solver._inner_rows` cut by `spine._sub_rows`, measured by
-`geom._loop_measures`), and build the set as an `ArcPolygon` once, at the
-root.  `tests/geom_reference.py` keeps the piece chain and the loop checks
+The ratio-scan oracle reads the area and perimeter of a strip's inner set
+from its piece rows (`solver._inner_measures`: `solver._inner_rows` cut by
+`spine._sub_rows`, measured by `geom._loop_measures`), the reference of the
+root solve's band identity (`tests/test_strip_measures.py`), and the root
+solve builds the set as an `ArcPolygon` once, at the root.
+`tests/geom_reference.py` keeps the piece chain and the loop checks
 and measures as they were written on pieces; every float must match them
 in float.hex, and every error its type and message.
 """

@@ -109,6 +109,17 @@ def test_jacobian_domain_errors():
         jacobian(st_, 1.0, 1.5)
 
 
+def band_loop_area(sp: spine.Spine, c: float, a: float, b: float) -> float:
+    """Area of the loop of level rows at -c and +c between the fibres at
+    spine parameters a and b, measured as the library measures loops."""
+    lower = spine._sub_rows(spine._level_rows(sp, -c), a, b)
+    upper = spine._sub_rows(spine._level_rows(sp, c), a, b, reverse=True)
+    rows = (lower + [geom._segment_row(*lower[-1][1][2:4], *upper[0][1][:2])]
+            + upper + [geom._segment_row(*upper[-1][1][2:4],
+                                         *lower[0][1][:2])])
+    return geom._loop_measures(rows)[0]
+
+
 def test_sub_strip_measure():
     st_ = spine.build_strip(spine.straight_spine(10.0), 1.0)
     assert sub_strip_measure(st_, [(0.0, 10.0)]) == pytest.approx(20.0)
@@ -118,6 +129,27 @@ def test_sub_strip_measure():
     assert sub_strip_measure(st_, [(1.0, 4.0), (3.0, 6.0)]) == \
         pytest.approx(10.0)
     assert sub_strip_measure(st_, [(-5.0, 25.0)]) == pytest.approx(20.0)
+
+
+@pytest.mark.parametrize("sp", [
+    spine.serpentine_spine(0.5, 20.0),
+    spine.s_curve_spine(0.2, 20.0),
+    # the hook of tests/test_strip_reach.py: it turns back past its start
+    spine.Spine((spine.SpinePiece(3.0, 0.0),
+                 spine.SpinePiece(2.0 * math.pi, 0.5),
+                 spine.SpinePiece(8.0, 0.0))),
+], ids=["serpentine", "s_curve", "hook"])
+def test_sub_strip_measure_is_the_band_loop_area(sp):
+    # the band identity the root solve of a strip rests on
+    # (solver._strip_measures): the loop of the level curves at +-c between
+    # two fibres encloses 2c times the spine length between them, whatever
+    # the spine's shape
+    L = sp.length
+    for c in (0.1, 0.5, 0.9):
+        st_ = spine.build_strip(sp, c)
+        for a, b in ((0.0, L), (0.3 * L, 0.8 * L), (1.234, L - 0.5)):
+            assert band_loop_area(sp, c, a, b) == pytest.approx(
+                sub_strip_measure(st_, [(a, b)]), rel=1e-12)
 
 
 def test_fold_over_rejected():
