@@ -23,6 +23,8 @@ from hypothesis import strategies as hst
 from cheeger import solver, spine
 from cheeger.errors import (CheegerError, DegenerateInnerSet, DomainError,
                             EmptyInnerSet)
+from cheeger.geom import Vec2
+from conftest import straight_strip_root
 from test_row_measures import depth_fractions, short_strips
 from test_strip_reach import HOOK, U_TURN_GAPS, strip_of, u_turn
 
@@ -137,6 +139,7 @@ def test_identity_matches_the_rows_at_every_ladder_root():
 # the strips of EMPTY_TRIM_SPECS in tests/test_cli.py
 ONE_ARC = (((0.5, -0.5),), 0.999999999999)
 LINE_AND_ARC = (((0.5, 0.0), (0.5, 0.999999999999)), 1.0)
+STRAIGHT = (((10.0, 0.0),), 1.0)
 EMPTY = "a trimmed level curve is empty at depth {r} (strip too short)"
 # each typed error of the identity at a fixed depth; a trimmed level curve
 # is empty in a window about 2e-13 wide, just before the trims cross
@@ -153,6 +156,8 @@ TYPED = {
     "empty_one_arc": (ONE_ARC, 0.1424324626975, DegenerateInnerSet, EMPTY),
     "empty_line_and_arc": (LINE_AND_ARC, 0.3138354803054, DegenerateInnerSet,
                            EMPTY),
+    "degenerate_trims": (STRAIGHT, 1.0 - 1e-13, DegenerateInnerSet,
+                         "trim segment degenerates at depth {r}"),
 }
 
 
@@ -164,3 +169,15 @@ def test_identity_raises_as_the_rows(name):
     expected = (error, message.format(r=r))
     assert outcome(solver._inner_measures, st_, r) == expected
     assert outcome(solver._strip_measures, st_, r) == expected
+
+
+def test_far_strip_solves_where_a_cap_rounds_away():
+    # at (1e8, 1e8) the depth 1e-9 at which the root solve starts is below
+    # the rounding of the coordinates: a trim corner rounds onto the end
+    # fibre, and that cap counts 0 instead of failing as an empty loop.
+    # The rows lose h to 7e-9 there; the identity keeps it to 1.1e-10.
+    st_ = spine.build_strip(spine.Spine((spine.SpinePiece(20.0, 0.0),),
+                                        Vec2(1e8, 1e8)), 1.0)
+    sol = solver.solve_strip(st_)
+    assert sol.h * straight_strip_root(20.0) == pytest.approx(1.0, abs=1e-9)
+    assert sol.residual <= solver.RESIDUAL_TOL * math.pi * sol.r ** 2
