@@ -247,12 +247,13 @@ def exit_lines(results: list) -> list:
 
 
 def main() -> int:
+    runs = {f"{name}/{seed}": run_workload(name, seed)
+            for name in workloads.BUILDERS for seed in SEEDS}
+    suites = {name: suite_checks(name) for name in verify.SUITES}
     short = solve_outcomes(short_strip_specs(), ["--allow-short-strip"])
     errors = solve_outcomes(schema_error_specs() + readme_specs(), [],
                             missing=True)
-    digest = {"workloads": {f"{name}/{seed}": run_workload(name, seed)
-                            for name in workloads.BUILDERS for seed in SEEDS},
-              "suites": {name: suite_checks(name) for name in verify.SUITES},
+    digest = {"workloads": runs, "suites": suites,
               "cli_solve": sha(short),
               "cli_solve_lines": exit_lines(short),
               "cli_errors": sha(errors),
