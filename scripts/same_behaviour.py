@@ -203,6 +203,14 @@ def schema_error_specs() -> list:
         {"type": "two_ears", "theta": "x"},
         {"type": "bowtie", "gap": "wide"},
         {"type": "bowtie", "gap": -0.1},
+        strip(dict(arc, length=20, curvatur=0.5)),
+        dict(strip(line), halfwith=2.0),
+        {"type": "convex_polygon", "vertices": [[0, 0], [1, 0], [0, 1]],
+         "vertex": [0, 0]},
+        {"type": "pinocchio", "nsoe": 3.0},
+        {"type": "two_ears", "theta0": 0.7},
+        {"type": "bowtie", "gpa": 0.03},
+        {"type": "two_balls", "radius": 2},
         {"type": "wat"}, {"type": []}, {"type": {}}, {"type": None},
         {"type": 1}, {},
         [], None, 1,

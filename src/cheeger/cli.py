@@ -78,6 +78,13 @@ def _optional_number(obj: dict, key: str, default: float, where: str) -> float:
     return _require_number(obj, key, where)
 
 
+def _known_fields(obj: dict, fields: Tuple[str, ...], where: str) -> None:
+    """Reject a field that is not read, such as a misspelt one."""
+    for key in obj:
+        if key not in fields:
+            raise SpecError(f"{where}: unknown field {key!r}")
+
+
 def parse_spine(items, halfwidth: float) -> Spine:
     if not isinstance(items, list) or not items:
         raise SpecError("'spine': expected a nonempty list of pieces")
@@ -86,6 +93,7 @@ def parse_spine(items, halfwidth: float) -> Spine:
         where = f"spine[{i}]"
         if not isinstance(item, dict):
             raise SpecError(f"{where}: expected an object")
+        _known_fields(item, ("kind", "length", "curvature"), where)
         piece_kind = item.get("kind")
         if piece_kind not in ("line", "arc"):
             raise SpecError(f"{where}: 'kind' must be 'line' or 'arc'")
@@ -282,12 +290,15 @@ def _solve_two_balls(spec: dict, allow_short: bool) -> Outcome:
 
 
 # The domain types of `cheeger solve`: a domain file's 'type' -> the entry
-# that parses its fields, solves it and checks the result.  Only 'strip'
-# reads allow_short.
-DOMAINS: Dict[str, Callable[[dict, bool], Outcome]] = {
-    "strip": _solve_strip, "convex_polygon": _solve_convex_polygon,
-    "pinocchio": _solve_pinocchio, "two_ears": _solve_two_ears,
-    "bowtie": _solve_bowtie, "two_balls": _solve_two_balls}
+# that parses its fields, solves it and checks the result, and the fields
+# besides 'type' that it reads.  Only 'strip' reads allow_short.
+DOMAINS: Dict[str, Tuple[Callable[[dict, bool], Outcome], Tuple[str, ...]]] = {
+    "strip": (_solve_strip, ("halfwidth", "spine")),
+    "convex_polygon": (_solve_convex_polygon, ("vertices",)),
+    "pinocchio": (_solve_pinocchio, ("theta", "alpha", "nose")),
+    "two_ears": (_solve_two_ears, ("theta",)),
+    "bowtie": (_solve_bowtie, ("gap",)),
+    "two_balls": (_solve_two_balls, ())}
 
 
 def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
@@ -297,7 +308,9 @@ def solve_domain(spec: dict, allow_short: bool = False) -> Outcome:
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in DOMAINS:
         raise SpecError(f"unknown domain type {kind!r}")
-    return DOMAINS[kind](spec, allow_short)
+    solve, fields = DOMAINS[kind]
+    _known_fields(spec, ("type",) + fields, kind)
+    return solve(spec, allow_short)
 
 
 # ---------------------------------------------------------------------------

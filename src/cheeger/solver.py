@@ -25,8 +25,7 @@ from . import geom
 from .errors import (DegenerateInnerSet, DomainError, EmptyInnerSet, NoRoot,
                      PropertyViolation)
 from .geom import Arc, ArcPolygon, Vec2
-from .spine import (Strip, _level_row, _level_rows, _require_finite,
-                    _sub_rows)
+from .spine import Strip, _level_row, _require_finite, _sub_rows
 
 RESIDUAL_TOL = 1e-10  # largest |f(r)| / (pi*r^2) accepted at the root
 MAX_ITERATIONS = 200
@@ -57,37 +56,37 @@ class CheegerSolution:
 # inner sets of strips
 
 
-def _chain_line_crossings(rows, line: tuple, offset: float) -> List[float]:
-    """Spine parameters where the level rows cross {(x-a).u = offset}, for
+def _chain_line_crossings(row: tuple, line: tuple, offset: float
+                          ) -> List[float]:
+    """Spine parameters where a level row crosses {(x-a).u = offset}, for
     a line (ax, ay, ux, uy) of `Strip._ends`."""
-    ts: List[float] = []
     ax, ay, nx, ny = line
+    is_arc, t0, t1, v = row
+    if not is_arc:
+        sx, sy, ex, ey = v
+        f0 = (sx - ax) * nx + (sy - ay) * ny - offset
+        f1 = (ex - ax) * nx + (ey - ay) * ny - offset
+        if not math.isfinite(f0 + f1):
+            _require_finite(sx - ax, sy - ay, ex - ax, ey - ay)
+        if f0 != f1:
+            u = f0 / (f0 - f1)
+            if -1e-9 <= u <= 1.0 + 1e-9:
+                return [t0 + min(max(u, 0.0), 1.0) * (t1 - t0)]
+        return []
     # a point of the line and its direction
     tx = ax + nx * offset
     ty = ay + ny * offset
     dx, dy = -ny, nx
-    for is_arc, t0, t1, v in rows:
-        if not is_arc:
-            sx, sy, ex, ey = v
-            f0 = (sx - ax) * nx + (sy - ay) * ny - offset
-            f1 = (ex - ax) * nx + (ey - ay) * ny - offset
-            if not math.isfinite(f0 + f1):
-                _require_finite(sx - ax, sy - ay, ex - ax, ey - ay)
-            if f0 == f1:
-                continue
-            u = f0 / (f0 - f1)
-            if -1e-9 <= u <= 1.0 + 1e-9:
-                ts.append(t0 + min(max(u, 0.0), 1.0) * (t1 - t0))
-        else:
-            cx, cy, radius, a, sweep = v[4:]
-            for lam in geom._line_circle(tx, ty, dx, dy, cx, cy, radius):
-                phi = math.atan2(ty + dy * lam - cy, tx + dx * lam - cx)
-                off = (phi - a) % geom.TAU if sweep > 0.0 else (a - phi) % geom.TAU
-                if off <= abs(sweep) + geom.ARC_END_SLACK:
-                    u = min(off / abs(sweep), 1.0)
-                    ts.append(t0 + u * (t1 - t0))
-                elif off >= geom.TAU - geom.ARC_END_SLACK:
-                    ts.append(t0)
+    cx, cy, radius, a, sweep = v[4:]
+    ts: List[float] = []
+    for lam in geom._line_circle(tx, ty, dx, dy, cx, cy, radius):
+        phi = math.atan2(ty + dy * lam - cy, tx + dx * lam - cx)
+        off = (phi - a) % geom.TAU if sweep > 0.0 else (a - phi) % geom.TAU
+        if off <= abs(sweep) + geom.ARC_END_SLACK:
+            u = min(off / abs(sweep), 1.0)
+            ts.append(t0 + u * (t1 - t0))
+        elif off >= geom.TAU - geom.ARC_END_SLACK:
+            ts.append(t0)
     return ts
 
 
@@ -99,60 +98,31 @@ def _inner_loop(st: Strip, r: float) -> Tuple[List[tuple], int, float, float]:
     left trim's corners and t_right the smaller one of the right trim's.
 
     Bounded by the two parallel curves at levels +-(s-r) and two trim
-    segments parallel to the end segments at depth r.  The parallel curves
-    are float rows (`spine._level_rows`), the trims are found on them, and
-    `spine._sub_rows` cuts the pieces, so no piece is built.  Raises what
-    building the pieces would raise, at the same piece.
+    segments parallel to the end segments at depth r.  `_strip_ends`
+    finds the trims, corners and end sub-rows and raises every error;
+    the missing middle rows are made here and cut by `spine._sub_rows`,
+    so no piece is built.  Rows of pieces outside the trimmed range are
+    never made: their checks cannot fail (`_strip_measures`, Checks).
     """
-    s = st.halfwidth
-    if r >= s:
-        raise EmptyInnerSet(f"depth {r} is not below the halfwidth {s}")
-    if r <= 0.0:
-        raise DomainError("depth must be positive")
-    spine = st.spine
-    L = spine.length
-    lo_chain = _level_rows(spine, -(s - r))
-    hi_chain = _level_rows(spine, s - r)
-    left, right = st._ends
+    made, (tl_lo, tr_lo, tl_hi, tr_hi), ends, corners = _strip_ends(st, r)
+    spine, c = st.spine, st.halfwidth - r
 
-    def first_cross(chain) -> float:
-        ts = _chain_line_crossings(chain, left, r)
-        if not ts:
-            raise DegenerateInnerSet("no left trim crossing at this depth")
-        return min(ts)
+    def level(side: int, t_from: float, t_to: float) -> List[tuple]:
+        k, first, m, last = ends[side]
+        if k == m:
+            return [first]
+        rows, rho = made[side], c if side else -c
+        between = [rows[i] if i in rows else _level_row(spine, i, rho)
+                   for i in range(k + 1, m)]
+        middle = _sub_rows(between, t_from, t_to, bool(side))
+        return [last] + middle + [first] if side else [first] + middle + [last]
 
-    def last_cross(chain) -> float:
-        ts = _chain_line_crossings(chain, right, r)
-        if not ts:
-            raise DegenerateInnerSet("no right trim crossing at this depth")
-        return max(ts)
-
-    tl_lo, tr_lo = first_cross(lo_chain), last_cross(lo_chain)
-    tl_hi, tr_hi = first_cross(hi_chain), last_cross(hi_chain)
-    if tl_lo >= tr_lo or tl_hi >= tr_hi:
-        raise DegenerateInnerSet(
-            f"end trims cross at depth {r} (strip too short)")
-    bottom = _sub_rows(lo_chain, tl_lo, tr_lo)
-    top = _sub_rows(hi_chain, tl_hi, tr_hi, reverse=True)
-    if not bottom or not top:
-        raise DegenerateInnerSet(
-            f"a trimmed level curve is empty at depth {r} (strip too short)")
-    brx, bry = bottom[-1][1][2:4]
-    trx, tr_y = top[0][1][:2]
-    tlx, tly = top[-1][1][2:4]
-    blx, bly = bottom[0][1][:2]
-    min_len = 1e-12 * max(L, 1.0)
-    if (math.hypot(brx - trx, bry - tr_y) <= min_len
-            or math.hypot(tlx - blx, tly - bly) <= min_len):
-        raise DegenerateInnerSet(f"trim segment degenerates at depth {r}")
+    bottom = level(0, tl_lo, tr_lo)
+    top = level(1, tl_hi, tr_hi)
+    blx, bly, brx, bry, trx, tr_y, tlx, tly = corners
     rows = (bottom + [geom._segment_row(brx, bry, trx, tr_y)] + top
             + [geom._segment_row(tlx, tly, blx, bly)])
     return rows, len(bottom), max(tl_lo, tl_hi), min(tr_lo, tr_hi)
-
-
-def _inner_rows(st: Strip, r: float) -> List[tuple]:
-    """The rows of `_inner_loop`."""
-    return _inner_loop(st, r)[0]
 
 
 def _strip_reach(st: Strip, r: float, loop: tuple) -> Optional[float]:
@@ -251,7 +221,7 @@ def _strip_reach(st: Strip, r: float, loop: tuple) -> Optional[float]:
 def _inner_measures(st: Strip, r: float) -> Tuple[float, float]:
     """(area, perimeter) of inner_set(st, r), bit for bit, with its errors,
     measured on the rows without building the set."""
-    area, perimeter, _, _, _ = geom._loop_measures(_inner_rows(st, r))
+    area, perimeter, _, _, _ = geom._loop_measures(_inner_loop(st, r)[0])
     return area, perimeter
 
 
@@ -270,16 +240,18 @@ def _level_part(row: tuple, x0: float, y0: float, x1: float, y1: float,
 
 def _strip_ends(st: Strip, r: float) -> tuple:
     """Where the level curves of E_r meet its trims, found on the level
-    rows near the strip's ends, with the errors of `_inner_loop`
-    (`_strip_measures` says why they agree).
+    rows near the strip's ends: the one trim search of E_r, and the one
+    place its checks are made (`_strip_measures` and `_inner_loop` read
+    it, and `_strip_measures` says why the checks it makes suffice).
 
     Returns (rows, crossings, ends, corners): the level rows made at
     -(s - r) and s - r, each a dict by piece index; the crossings
     (lower left, lower right, upper left, upper right) whose extremes
-    `_inner_loop` returns; the first and last piece of each trimmed
-    level curve (lower first, lower last, upper first, upper last); and
-    the trims' ends, (x, y) of the lower left, lower right, upper right
-    and upper left corner.
+    `_inner_loop` returns; for the lower and then the upper trimmed level
+    curve, (k, first sub-row, m, last sub-row) of its first and last
+    pieces k <= m (`spine._sub_rows`, the upper ones reversed); and the
+    trims' ends, (x, y) of the lower left, lower right, upper right and
+    upper left corner.
     """
     s = st.halfwidth
     if r >= s:
@@ -303,7 +275,7 @@ def _strip_ends(st: Strip, r: float) -> tuple:
             rw = row(side, i)
             if rw[1] >= best:
                 return best, i
-            best = min([best] + _chain_line_crossings([rw], left, r))
+            best = min([best] + _chain_line_crossings(rw, left, r))
         if best == math.inf:
             raise DegenerateInnerSet("no left trim crossing at this depth")
         return best, n - 1
@@ -314,7 +286,7 @@ def _strip_ends(st: Strip, r: float) -> tuple:
             rw = row(side, i)
             if rw[2] < best:
                 break
-            best = max([best] + _chain_line_crossings([rw], right, r))
+            best = max([best] + _chain_line_crossings(rw, right, r))
         if best == -math.inf:
             raise DegenerateInnerSet("no right trim crossing at this depth")
         return best
@@ -355,13 +327,12 @@ def _strip_ends(st: Strip, r: float) -> tuple:
     if (math.hypot(brx - trx, bry - tr_y) <= min_len
             or math.hypot(tlx - blx, tly - bly) <= min_len):
         raise DegenerateInnerSet(f"trim segment degenerates at depth {r}")
-    return (made, (tl_lo, tr_lo, tl_hi, tr_hi),
-            (lower[0], lower[2], upper[0], upper[2]), corners)
+    return made, (tl_lo, tr_lo, tl_hi, tr_hi), (lower, upper), corners
 
 
 def _strip_measures(st: Strip, r: float) -> Tuple[float, float]:
     """(area, perimeter) of inner_set(st, r) from the band identity, with
-    the errors of `_inner_loop`; only level rows near the ends are made.
+    the errors of `_strip_ends`; only level rows near the ends are made.
 
     Let c = s - r and F(t, rho) = gamma(t) + rho*n(t).
     - Area.  Signed Green areas add over chains.  The band loop (the level
@@ -380,16 +351,19 @@ def _strip_measures(st: Strip, r: float) -> Tuple[float, float]:
     - Rows near the ends.  `_chain_line_crossings` puts a row's crossings
       in [t0, the float after t1].  So scanning rows from the start until
       one starts at or after the least crossing so far, and from the end
-      until one ends before the greatest, gives `_inner_loop`'s minimum
-      and maximum bit for bit.  `_sub_rows` drops a row only where it
-      meets [t_left, t_right] in at most 1e-12 of its length, which only
-      an end row of that range can do: the first kept row lies at or
-      before the row where the left scan stopped, and if that one is
-      dropped, every row is.
-    - Checks.  Those of `_inner_loop` that can fail are made on the same
-      rows, in the same order: r in (0, s), each crossing, crossing trims,
-      the sub-rows at the four corners, an empty trimmed curve and a
-      degenerate trim.  `build_strip` made the rows at +-s pass the others.
+      until one ends before the greatest, gives the minimum and maximum
+      over the whole level chains bit for bit.  `_sub_rows` drops a row
+      only where it meets [t_left, t_right] in at most 1e-12 of its
+      length, which only an end row of that range can do: the first kept
+      row lies at or before the row where the left scan stopped, and if
+      that one is dropped, every row is.
+    - Checks.  `_strip_ends` makes every check of E_r that can fail, on
+      the rows near the ends, in the order a whole-chain build makes
+      them: r in (0, s), each crossing, crossing trims, the sub-rows at
+      the four corners, an empty trimmed curve and a degenerate trim.
+      The checks of the rows it does not make cannot fail, so neither
+      this identity nor `_inner_loop` needs those rows made.
+      `build_strip` made the rows at +-s pass the others.
       A row at |rho| <= s has their sweep and turn, a radius |1/kappa -
       rho| no less than the smaller of theirs (float subtraction is
       monotone), coordinates between theirs, and ends that coincide only
@@ -403,8 +377,9 @@ def _strip_measures(st: Strip, r: float) -> Tuple[float, float]:
       rounding unit of its coordinates wide, far above the
       (1e-12*diameter)^2 that `_loop_measures` asks for.
     """
-    (lo, hi), (tl_lo, tr_lo, tl_hi, tr_hi), (k_lo, m_lo, k_hi, m_hi), \
-        corners = _strip_ends(st, r)
+    (lo, hi), (tl_lo, tr_lo, tl_hi, tr_hi), (lower, upper), corners = \
+        _strip_ends(st, r)
+    (k_lo, _, m_lo, _), (k_hi, _, m_hi, _) = lower, upper
     blx, bly, brx, bry, trx, tr_y, tlx, tly = corners
     spine = st.spine
     n, L, c = len(spine.pieces), spine.length, st.halfwidth - r
@@ -468,8 +443,8 @@ def _strip_measures(st: Strip, r: float) -> Tuple[float, float]:
 
 def inner_set(st: Strip, r: float) -> ArcPolygon:
     """Region of the strip at distance >= r from its boundary: the loop of
-    `_inner_rows`, each piece built once."""
-    return ArcPolygon([geom._row_piece(*row) for row in _inner_rows(st, r)])
+    `_inner_loop`, each piece built once."""
+    return ArcPolygon([geom._row_piece(*row) for row in _inner_loop(st, r)[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,12 @@ The raster contour length is kept here on `Vec2` points (`grid_perimeter`,
 The strip chain is kept here as it was written with pieces: `level_chain`
 builds an `Arc` or `Segment` per spine piece, `chain_pieces` rebuilds each
 through `subpiece` and reverses it in a second pass, and `inner_set` reads
-those pieces.  `spine.level_chain` and `solver.inner_set` compute on float
-rows and must match them bit for bit, error messages included.
+those pieces, with its trims found on the whole level chains.
+`spine.level_chain` and `solver.inner_set` compute on float rows and must
+match them bit for bit, error messages included.  The library finds the
+trims once, on the rows near the strip's ends (`solver._strip_ends`), and
+makes only the rows between them, so `inner_set_pieces` is the
+whole-chain reference for that search, its crossings and its errors.
 
 The ball-to-ball path of a strip lives only here, on that piece chain:
 `ball_to_ball_path` inverts the strip parametrization (`locate`), slides

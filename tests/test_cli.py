@@ -198,6 +198,18 @@ SCHEMA_ERRORS = [
     ({"type": "bowtie", "gap": "wide"},
      "bowtie: field 'gap' must be a finite number"),
     ({"type": "bowtie", "gap": -0.1}, "bowtie: 'gap' must be nonnegative"),
+    # a field that no parser reads, such as a misspelt one, is an error
+    # rather than a solve of the default domain
+    (strip_of({"kind": "arc", "length": 20, "curvatur": 0.5}),
+     "spine[0]: unknown field 'curvatur'"),
+    (dict(strip_of({"kind": "line", "length": 15}), halfwith=2.0),
+     "strip: unknown field 'halfwith'"),
+    ({"type": "convex_polygon", "vertices": [[0, 0], [1, 0], [0, 1]],
+      "vertex": [0, 0]}, "convex_polygon: unknown field 'vertex'"),
+    ({"type": "pinocchio", "nsoe": 3.0}, "pinocchio: unknown field 'nsoe'"),
+    ({"type": "two_ears", "theta0": 0.7}, "two_ears: unknown field 'theta0'"),
+    ({"type": "bowtie", "gpa": 0.03}, "bowtie: unknown field 'gpa'"),
+    ({"type": "two_balls", "radius": 2}, "two_balls: unknown field 'radius'"),
     # a list or dict 'type' cannot be a table key: a lookup must not raise
     # TypeError on it
     ({"type": "wat"}, "unknown domain type 'wat'"),

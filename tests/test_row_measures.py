@@ -1,7 +1,7 @@
 """Inner-set measures on float rows against the pieces they replace.
 
 The ratio-scan oracle reads the area and perimeter of a strip's inner set
-from its piece rows (`solver._inner_measures`: `solver._inner_rows` cut by
+from its piece rows (`solver._inner_measures`: `solver._inner_loop` cut by
 `spine._sub_rows`, measured by `geom._loop_measures`), the reference of the
 root solve's band identity (`tests/test_strip_measures.py`), and the root
 solve builds the set as an `ArcPolygon` once, at the root.
@@ -103,7 +103,7 @@ def test_row_measures_match_the_pieces(family, data):
         if isinstance(rows[0], str):
             # the rows are those of the pieces built from them
             pieces = solver.inner_set(st_, r).pieces
-            assert solver._inner_rows(st_, r) == \
+            assert solver._inner_loop(st_, r)[0] == \
                 [geom._piece_row(q) for q in pieces]
 
 

@@ -254,6 +254,16 @@ def test_ratio_scan_agrees_curved():
     assert abs(r_scan - sol.r) <= 1e-5
 
 
+def test_ratio_scan_rejects_other_domains():
+    # an arc polygon that is neither a Strip nor a ConvexRegion has no
+    # inner-set family to scan
+    square = geom.polygon_from_points(
+        [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)])
+    with pytest.raises(DomainError) as info:
+        solver.ratio_scan_oracle(square)
+    assert str(info.value) == "cannot scan a ArcPolygon"
+
+
 def test_steiner_consistency_identity(straight_solution_9pi2):
     sol = straight_solution_9pi2
     a_r = sol.inner_set.area

@@ -6,9 +6,15 @@ making the rows between the ends.  The row measures
 (`solver._inner_measures`) stay the reference.  Wherever they return, the
 identity must agree to 1e-12*2sL in area and 1e-12*(2L + 4s) in perimeter,
 absolute bounds because near r = s both sums cancel.  Wherever they raise,
-the identity must raise the same type and message.  The crossings and
-corners that the identity finds near the ends must equal, in float.hex,
-those that `solver._inner_loop` finds on whole chains.
+the identity must raise the same type and message.
+
+Both read the one trim search, `solver._strip_ends`, which scans only the
+rows near the ends.  So the whole level chains stay the references for
+it: its crossings must equal, in float.hex, the least and greatest
+crossings over every row (`chain_crossings`), and the row measures must
+match, in float.hex or in error type and message, the piece chain of
+`geom_reference.inner_set_pieces`, which finds its trims on whole chains
+of pieces with its own crossing code.
 """
 import functools
 import importlib.util
@@ -25,7 +31,8 @@ from cheeger.errors import (CheegerError, DegenerateInnerSet, DomainError,
                             EmptyInnerSet)
 from cheeger.geom import Vec2
 from conftest import straight_strip_root
-from test_row_measures import depth_fractions, short_strips
+from test_row_measures import (depth_fractions, measured,
+                               reference_measures, short_strips)
 from test_strip_reach import HOOK, U_TURN_GAPS, strip_of, u_turn
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -84,18 +91,30 @@ def outcome(fn, *args):
 
 
 def chain_crossings(st_, r):
-    """The four trim crossings of `_inner_loop`, from whole level chains."""
+    """The four trim crossings of E_r, from whole level chains."""
     c = st_.halfwidth - r
     left, right = st_._ends
     out = []
     for level in (-c, c):
         rows = spine._level_rows(st_.spine, level)
-        out += [min(solver._chain_line_crossings(rows, left, r)),
-                max(solver._chain_line_crossings(rows, right, r))]
+        out += [min(t for row in rows
+                    for t in solver._chain_line_crossings(row, left, r)),
+                max(t for row in rows
+                    for t in solver._chain_line_crossings(row, right, r))]
     return out
 
 
+def assert_matches_the_pieces(st_, r):
+    """The row measures against `geom_reference.inner_set_pieces`; its
+    IndexError is the empty trimmed level curve."""
+    expected = measured(reference_measures, st_, r)
+    if expected == "IndexError":
+        expected = (DegenerateInnerSet, EMPTY.format(r=r))
+    assert measured(solver._inner_measures, st_, r) == expected
+
+
 def assert_agrees(st_, r):
+    assert_matches_the_pieces(st_, r)
     rows = outcome(solver._inner_measures, st_, r)
     identity = outcome(solver._strip_measures, st_, r)
     if isinstance(rows[0], type):
@@ -169,6 +188,7 @@ def test_identity_raises_as_the_rows(name):
     expected = (error, message.format(r=r))
     assert outcome(solver._inner_measures, st_, r) == expected
     assert outcome(solver._strip_measures, st_, r) == expected
+    assert_matches_the_pieces(st_, r)
 
 
 def test_far_strip_solves_where_a_cap_rounds_away():
