@@ -12,9 +12,11 @@ read.  The digest holds the sha256 of:
     benchmark's operations: every `cli.build_report` JSON they make, their
     failure lists (an operation that raises records its error type and
     message), and every outward offset they make (`geom.offset_outward_disk`:
-    the input's area and perimeter, the radius, the uncapped reach bound of
-    the input, and the result's area and perimeter, or the error), all
-    floats in `float.hex`;
+    the input's area and perimeter, the radius, the reach bound of
+    the input, and the result's area and perimeter, or the error) and every
+    Cheeger set an inner-formula solve reports (`cli._inner_formula_outcome`:
+    its piece count, piece kinds, area and perimeter), all floats in
+    `float.hex`;
   - the check list (name, verdict, detail) of each `verify` suite;
   - the exit code, stdout and stderr of `cheeger solve --allow-short-strip`
     on short and malformed strip specs, among them the two strips whose
@@ -24,7 +26,8 @@ read.  The digest holds the sha256 of:
     schema error of every domain type (an unknown, list or missing 'type',
     a file that holds no JSON object, a file that cannot be read) and on
     the six domain examples of README.md.
-Each workload also reports how many reports, failures and offsets it made.
+Each workload also reports how many reports, failures, offsets and Cheeger
+sets it made.
 Beside the hashes, the digest lists in plain text, one line each, what a
 diff should name when a hash moves: the operation, h, r (`float.hex`),
 iterations and check verdicts of every ladder and oracles report, and the
@@ -82,9 +85,10 @@ def report_line(op: str, report: dict) -> str:
 
 
 def run_workload(name: str, seed: int) -> dict:
-    reports, failures, offsets, lines = [], [], [], []
+    reports, failures, offsets, sets, lines = [], [], [], [], []
     build_report = cli.build_report
     offset = geom.offset_outward_disk
+    inner_formula_outcome = cli._inner_formula_outcome
     current = [""]  # the operation running
 
     def recording_report(out):
@@ -104,8 +108,15 @@ def run_workload(name: str, seed: int) -> dict:
         offsets.append(entry + [hexed(grown.area), hexed(grown.perimeter)])
         return grown
 
+    def recording_outcome(sol, region):
+        c = sol.cheeger_set
+        sets.append([len(c.pieces), [p.kind for p in c.pieces],
+                     hexed(c.area), hexed(c.perimeter)])
+        return inner_formula_outcome(sol, region)
+
     cli.build_report = recording_report
     geom.offset_outward_disk = recording_offset
+    cli._inner_formula_outcome = recording_outcome
     try:
         for op in workloads.build(name, seed):
             workloads.clear_caches()
@@ -114,9 +125,10 @@ def run_workload(name: str, seed: int) -> dict:
     finally:
         cli.build_report = build_report
         geom.offset_outward_disk = offset
+        cli._inner_formula_outcome = inner_formula_outcome
     digest = {"reports": sha(reports), "failures": sha(failures),
-              "offsets": sha(offsets), "count": [len(reports), len(failures),
-                                                 len(offsets)]}
+              "offsets": sha(offsets), "cheeger_sets": sha(sets),
+              "count": [len(reports), len(failures), len(offsets), len(sets)]}
     if name in ("ladder", "oracles"):
         digest["report_lines"] = lines
     return digest

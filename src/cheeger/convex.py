@@ -238,11 +238,15 @@ def solve_convex(c: ConvexRegion) -> CheegerSolution:
 
     def measure(r: float) -> Tuple[float, float]:
         last.clear()
-        body = inner_parallel_body(c, r).region
-        last[r] = body, math.inf  # convex: infinite reach
+        body = last[r] = inner_parallel_body(c, r).region
         return body.area, body.perimeter
 
-    sol = _solve_inner_formula(measure, last.__getitem__, 1e-12 * hi, hi)
+    def build(r: float) -> Tuple[ArcPolygon, ArcPolygon]:
+        # convex: infinite reach
+        return last[r], geom.offset_outward_disk(last[r], r,
+                                                 reach_bound=math.inf)
+
+    sol = _solve_inner_formula(measure, build, 1e-12 * hi, hi)
     # rounding in the offset grows with the coordinates, not just the size
     scale = max(c.region.diameter, 1.0,
                 *(abs(v) for v in c.region.bounding_box))

@@ -896,9 +896,8 @@ def is_convex(p: ArcPolygon) -> bool:
     return all(t >= -ANG_TOL for t in junction_turns(p))
 
 
-def reach_lower_bound(p: ArcPolygon, *, cap: float = math.inf) -> float:
-    """Certified lower bound on the reach of the closed region, capped:
-    exactly min(bound, cap).
+def reach_lower_bound(p: ArcPolygon) -> float:
+    """Certified lower bound on the reach of the closed region.
 
     Convex regions have infinite reach.  A concave (reflex) vertex gives
     zero.  Otherwise the bound is the minimum of all concave arc radii and
@@ -906,22 +905,19 @@ def reach_lower_bound(p: ArcPolygon, *, cap: float = math.inf) -> float:
     piece pair whose midpoint lies outside at distance about half the pair
     gap, so nothing else is closer to it.
 
-    The pair scan starts from best = min(concave radii, cap) and tests only
-    pairs whose box gap and distance are below 2 * best.  Whether a pair is
-    accepted does not depend on best, and a pair whose half gap is at least
-    cap cannot lower a capped result; so skipping the pairs at least
-    2 * cap apart leaves min(bound, cap) as it is.  `offset_outward_disk`
-    needs only reach >= rho and caps at rho.  A pair is rejected as soon as
-    some piece lies closer to its midpoint than the depth that would accept
-    it, and its midpoint query (_signed_depth) ends there.
+    The pair scan starts from best = the least concave radius and tests
+    only pairs whose box gap and distance are below 2 * best.  A pair is
+    rejected as soon as some piece lies closer to its midpoint than the
+    depth that would accept it, and its midpoint query (_signed_depth)
+    ends there.
     """
     if any(t < -ANG_TOL for t in junction_turns(p)):
-        return min(0.0, cap)
+        return 0.0
     concave_radii = [q.radius for q in p.pieces
                      if isinstance(q, Arc) and not q.ccw]
     if not concave_radii:
-        return cap  # convex: infinite reach
-    best = min(min(concave_radii), cap)
+        return math.inf  # convex
+    best = min(concave_radii)
     pieces = p.pieces
     n = len(pieces)
     _, boxes, nodes = _piece_index(p)
@@ -980,19 +976,18 @@ def offset_outward_disk(p: ArcPolygon, rho: float,
         area' = area + rho*perimeter + pi*rho^2
         perimeter' = perimeter + 2*pi*rho
     whenever rho does not exceed the reach of the region.  A caller that
-    has proven a bound passes it as `reach_bound`: convex regions pass inf,
-    and strip solves pass rho where the strip lemma holds
-    (`solver._strip_reach`).  Without one the region's reach is certified
-    up to rho only (reach_lower_bound capped at rho); a region whose
-    certified bound falls below rho raises ReachViolation, which names that
-    bound.
+    has proven a bound passes it as `reach_bound` (convex regions pass
+    inf); without one the offset runs the pair scan of
+    `reach_lower_bound`.  A region whose bound falls below rho raises
+    ReachViolation, which names that bound.  Strip solves build their
+    Cheeger set from the strip instead (`solver._cheeger_set`).
     """
     if rho < 0.0:
         raise InvalidGeometry("offset distance must be nonnegative")
     if rho == 0.0:
         return p
     if reach_bound is None:
-        reach_bound = reach_lower_bound(p, cap=rho)
+        reach_bound = reach_lower_bound(p)
     if reach_bound < rho * (1.0 - 1e-12):
         raise ReachViolation(
             f"offset {rho} exceeds certified reach {reach_bound}")

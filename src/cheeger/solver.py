@@ -4,16 +4,16 @@ The inner set at depth r is the part of the strip at distance at least r
 from the boundary.  Its area is strictly decreasing in r while pi*r^2 is
 increasing, so the inner Cheeger formula  area(E_r) = pi*r^2  has a unique
 root, found by safeguarded Newton steps on the exact derivative
--perimeter(E_r) - 2*pi*r; the Cheeger set is the outward offset E_r + B_r
-and h = 1/r.  A strip's trial depths read area and perimeter from the band
-identity (`_strip_measures`), which makes only the level rows near the
-strip's ends, and E_r is built once, at the root.  The offset needs
-reach(E_r) >= r; a lemma on the strip's rows proves it (`_strip_reach`),
-and only a strip outside the lemma's hypotheses gets the piece-pair scan
-of `geom.reach_lower_bound`.  The same solve serves convex regions
-(`convex`).  An independent grid scan of the Cheeger ratio over the same
-one-parameter family, measured on the rows of E_r, serves as a
-cross-check oracle.
+-perimeter(E_r) - 2*pi*r; the Cheeger set is E_r + B_r and h = 1/r.  A
+strip's trial depths read area and perimeter from the band identity
+(`_strip_measures`), which makes only the level rows near the strip's
+ends.  At the root, E_r is built once, and the Cheeger set, the strip
+with its four corners rounded at radius r, is built from E_r's corners
+(`_cheeger_set`, proof in its docstring) with no offset and no reach
+certificate.  The same solve serves convex regions (`convex`), which
+offset their inner body.  An independent grid scan of the Cheeger ratio
+over the same one-parameter family, measured on the rows of E_r, serves
+as a cross-check oracle.
 """
 from __future__ import annotations
 
@@ -90,12 +90,10 @@ def _chain_line_crossings(row: tuple, line: tuple, offset: float
     return ts
 
 
-def _inner_loop(st: Strip, r: float) -> Tuple[List[tuple], int, float, float]:
+def _inner_loop(st: Strip, r: float) -> List[tuple]:
     """E_r as piece rows (`geom._piece_row`), in the order of its loop:
-    the lower level curve, the right trim (row k), the upper level curve
-    reversed and the left trim (the last row).  Returned as (rows, k,
-    t_left, t_right), where t_left is the larger spine parameter of the
-    left trim's corners and t_right the smaller one of the right trim's.
+    the lower level curve, the right trim, the upper level curve reversed
+    and the left trim.
 
     Bounded by the two parallel curves at levels +-(s-r) and two trim
     segments parallel to the end segments at depth r.  `_strip_ends`
@@ -120,108 +118,14 @@ def _inner_loop(st: Strip, r: float) -> Tuple[List[tuple], int, float, float]:
     bottom = level(0, tl_lo, tr_lo)
     top = level(1, tl_hi, tr_hi)
     blx, bly, brx, bry, trx, tr_y, tlx, tly = corners
-    rows = (bottom + [geom._segment_row(brx, bry, trx, tr_y)] + top
+    return (bottom + [geom._segment_row(brx, bry, trx, tr_y)] + top
             + [geom._segment_row(tlx, tly, blx, bly)])
-    return rows, len(bottom), max(tl_lo, tl_hi), min(tr_lo, tr_hi)
-
-
-def _strip_reach(st: Strip, r: float, loop: tuple) -> Optional[float]:
-    """r, a lower bound on the reach of E_r, certified from the strip for
-    the loop (rows, k, t_left, t_right) of `_inner_loop`; None where a
-    hypothesis below fails, and the offset then runs the pair scan.
-
-    Notation: F(t, rho) = gamma(t) + rho*n(t) on [0, L] x [-s, s],
-    phi = rho o F^-1, theta(t) the direction angle of the spine, and for
-    the ends (a, u) of `Strip._ends`, g(x) = (x - a).u - r, with closed
-    half-planes H_L = {g_L >= 0} at the start and H_R = {g_R >= 0} at the
-    end, bounded by the trim lines.
-
-    (H1) `build_strip` made the strip (it is the only maker of a Strip):
-      s*max|kappa| < 1 and `geom.assert_simple` holds on the boundary.  So
-      F has Jacobian 1 - rho*kappa > 0 and is injective on the boundary of
-      its rectangle; every point has as many preimages as the boundary's
-      winding number about it, 0 or 1, and F is a homeomorphism onto the
-      closed strip.  Along any segment in the closed strip, phi is
-      1-Lipschitz with gradient n(t), and it rises at rate 1 only along a
-      fibre F(t, .), which is straight.
-    (H2) E_r lies in D_r = {d(., boundary) >= r}.  Checked here: every row
-      lies in H_L and H_R (the ends of a segment, the ends and the point
-      farthest out of the half-plane of an arc), the corners of each trim
-      lie on its own line, and t_left < t_right.
-      A level curve rho = const, |rho| <= s-r, turns with curvature
-      |kappa/(1 - rho*kappa)| < 1/(s - |rho|) <= 1/r, so before its
-      direction leaves theta(0) by pi/2 it has advanced more than r along
-      u: it meets the left trim line first with |theta - theta(0)| < pi/2.
-      So on [0, t_left], g_L(F(t, rho)) has t-derivative
-      (1 - rho*kappa) cos(theta(t) - theta(0)) > 0.  It is -r at t = 0,
-      and >= 0 on the fibre at t_left, which is linear in rho and >= 0 at
-      both ends (one is a corner, the other lies past its own crossing).
-      So for |rho| <= s-r it has one zero t*(rho) there, continuous in
-      rho, and rho -> F(t*(rho), rho) runs along the left trim line from
-      corner to corner: it is the left trim.  Likewise the right trim on
-      [t_right, L], and t_left < t_right keeps them apart.  So the loop
-      is F of a simple loop in the band |rho| <= s-r, and E_r has
-      |phi| <= s-r.  Take y in E_r, a boundary point b, and z the first
-      boundary point on [y, b].  If z is on a side (|phi| = s), phi gives
-      |y - z| >= r; if z is on an end segment, the half-planes do.
-    (H3) every corner of the left trim is at least 2r from every corner
-      of the right trim.
-
-    Proof of reach(E_r) >= r.  Let x lie at distance delta < r from E_r,
-    and p be a nearest point of E_r.
-    - p inside a level curve, say phi(p) = s-r: x = F(t_p, s-r+delta).
-      For y in E_r within r of x, [x, y] lies in the ball of radius r
-      about y, inside the closed strip by (H2), so
-      |x - y| >= phi(x) - phi(y) >= delta, with equality only on p's
-      fibre, at y = p.
-    - p inside a trim: x = p - delta*u and g >= 0 on E_r give the same.
-    - Otherwise every nearest point is a corner.  Two corners of one trim
-      cannot both be nearest, as the trim's midpoint would be nearer, and
-      corners of different trims are 2r > 2*delta apart by (H3).
-    So every point within r of E_r has one nearest point, which is
-    reach >= r (Federer, Trans. AMS 93, 1959).
-
-    Slack: the checks compare lengths up to tol = 1e-12*(largest
-    |coordinate| + diameter) of the strip's boundary.  The rows meet the
-    trim lines at the corners to within about 1e-14*r, the rounding of
-    their coordinates.  So a row may lie up to tol outside a trim's
-    half-plane and a trim's corners up to tol off its line: within the
-    relative 1e-12 that `geom.offset_outward_disk` grants any reach bound
-    (it accepts reach_bound >= rho*(1 - 1e-12)).
-    """
-    rows, k, t_left, t_right = loop
-    bbox = st.boundary.bounding_box
-    tol = 1e-12 * (max(map(abs, bbox)) + st.boundary.diameter)
-    if not t_right - t_left > tol:
-        return None
-    left, right = rows[-1][1], rows[k][1]
-    for (ax, ay, ux, uy), trim in zip(st._ends, (left, right)):
-        back = math.atan2(-uy, -ux)  # where a circle lies farthest out
-        for is_arc, v in rows:
-            low = min((v[0] - ax) * ux + (v[1] - ay) * uy,
-                      (v[2] - ax) * ux + (v[3] - ay) * uy)
-            if is_arc:
-                cx, cy, radius, ccw, a0, sweep = v[4:]
-                off = (back - a0) % geom.TAU if ccw else (a0 - back) % geom.TAU
-                if (off <= sweep + geom.ARC_END_SLACK
-                        or off >= geom.TAU - geom.ARC_END_SLACK):
-                    low = min(low, (cx - ax) * ux + (cy - ay) * uy - radius)
-            if low < r - tol:
-                return None
-        if max((trim[0] - ax) * ux + (trim[1] - ay) * uy,
-               (trim[2] - ax) * ux + (trim[3] - ay) * uy) > r + tol:
-            return None
-    for lx, ly in (left[:2], left[2:4]):
-        for rx, ry in (right[:2], right[2:4]):
-            if math.hypot(lx - rx, ly - ry) < 2.0 * r + tol:
-                return None
-    return r
 
 
 def _inner_measures(st: Strip, r: float) -> Tuple[float, float]:
     """(area, perimeter) of inner_set(st, r), bit for bit, with its errors,
     measured on the rows without building the set."""
-    area, perimeter, _, _, _ = geom._loop_measures(_inner_loop(st, r)[0])
+    area, perimeter, _, _, _ = geom._loop_measures(_inner_loop(st, r))
     return area, perimeter
 
 
@@ -241,13 +145,14 @@ def _level_part(row: tuple, x0: float, y0: float, x1: float, y1: float,
 def _strip_ends(st: Strip, r: float) -> tuple:
     """Where the level curves of E_r meet its trims, found on the level
     rows near the strip's ends: the one trim search of E_r, and the one
-    place its checks are made (`_strip_measures` and `_inner_loop` read
-    it, and `_strip_measures` says why the checks it makes suffice).
+    place its checks are made (`_strip_measures`, `_inner_loop` and
+    `_cheeger_set` read it, and `_strip_measures` says why the checks it
+    makes suffice).
 
     Returns (rows, crossings, ends, corners): the level rows made at
     -(s - r) and s - r, each a dict by piece index; the crossings
-    (lower left, lower right, upper left, upper right) whose extremes
-    `_inner_loop` returns; for the lower and then the upper trimmed level
+    (lower left, lower right, upper left, upper right), which bound the
+    trimmed level curves; for the lower and then the upper trimmed level
     curve, (k, first sub-row, m, last sub-row) of its first and last
     pieces k <= m (`spine._sub_rows`, the upper ones reversed); and the
     trims' ends, (x, y) of the lower left, lower right, upper right and
@@ -444,7 +349,95 @@ def _strip_measures(st: Strip, r: float) -> Tuple[float, float]:
 def inner_set(st: Strip, r: float) -> ArcPolygon:
     """Region of the strip at distance >= r from its boundary: the loop of
     `_inner_loop`, each piece built once."""
-    return ArcPolygon([geom._row_piece(*row) for row in _inner_loop(st, r)[0]])
+    return ArcPolygon([geom._row_piece(*row) for row in _inner_loop(st, r)])
+
+
+def _cheeger_set(st: Strip, r: float) -> ArcPolygon:
+    """E_r + B_r: the strip with its four corners rounded at radius r,
+    built in O(n) from E_r's corners (`_strip_ends`), in the order in which
+    `geom.offset_outward_disk` emits the offset of E_r's loop: the lower
+    lateral curve, a free arc, the right end segment, a free arc, the upper
+    lateral curve reversed, a free arc, the left end segment, a free arc.
+
+    Notation: c = s - r, F(t, rho) = gamma(t) + rho*n(t), phi = rho o F^-1,
+    and for an end (a, u) of `Strip._ends`, g(x) = (x - a).u: the end
+    segment lies on g = 0 and the trim on g = r.  A corner p's foot is
+    p - r*u; its free arc has centre p and radius r.
+    (H1) `build_strip` made the strip: s*max|kappa| < 1 and
+      `geom.assert_simple` accepted its boundary, a Jordan curve.  F maps
+      [0, L] x [-s, s] onto the closed strip with Jacobian 1 - rho*kappa
+      > 0; on a segment in the closed strip phi is 1-Lipschitz and rises
+      at rate 1 only along a fibre F(t, .).
+    (H2) The strip model of `_strip_measures`, not checked (ROADMAP item
+      5): E_r is the trimmed band that `_inner_loop` bounds, and it lies
+      at depth >= r, so the closed r-ball about each point of E_r lies in
+      the closed strip.
+    (H3) Not checked either: a free arc meets neither the end segment nor
+      the free arcs of the other end.
+
+    The loop is the offset of E_r's loop, piece for piece.
+    - A level row at -c over [t0, t1] has outward normal -n(t), and
+      F(t, -c) - r*n(t) = F(t, -s): its offset is the sub-row at -s over
+      [t0, t1], an arc about the same centre (a level row's centre does
+      not depend on the level) of radius |1/kappa + s|, or a segment
+      moved by r.  Likewise at +s, reversed.
+    - A trim lies on g = r, E_r on its side g >= r: its offset joins its
+      corners' feet on g = 0.
+    - The level curves are C^1, so only the corners gain arcs.  A level
+      curve turns with curvature |kappa/(1 - rho*kappa)| < 1/(s - |rho|)
+      <= 1/r, so from its end fibre it advances more than r along u, and
+      strays less than r across, before heading pi/2 off u.  At the first
+      crossing, which `_strip_ends` takes, it heads within pi/2 of u: the
+      corner turns left by less than pi, the sweep of the free arc from
+      its lateral end p -+ r*n to its foot.  So each foot lies inside its
+      end segment, and the feet of an end come in the order of its corners.
+
+    The loop bounds E_r + B_r, with no reach bound.  For x outside E_r at
+    distance <= r, a nearest point p lies on E_r's loop and x - p is an
+    outward normal there: -+n, -u, or at a corner a direction of its free
+    arc.  So E_r + B_r is E_r and the fins swept from its loop along those
+    normals, whose far edges make up the loop; a point p + lambda*nu with
+    lambda < r is interior, so the boundary of E_r + B_r lies on the loop.
+    The loop is simple.  Its lateral curves and end segments are disjoint
+    pieces of the Jordan curve, in its order.  A point q = p + r*nu of a
+    free arc lies in the closed strip by (H2); off p's fibre it has
+    |phi(q)| < s by (H1), and off the foot g(q) > 0.  The free arcs of an
+    end lie beyond their corners along the trim line, and (H3) keeps them
+    off the other end.  A compact set with an interior point whose
+    boundary lies on a Jordan curve is the closed region the curve
+    bounds.  C lies in the strip by construction: its pieces are sub-
+    pieces of the strip's boundary and arcs whose balls lie in it (H2).
+    """
+    _, (tl_lo, tr_lo, tl_hi, tr_hi), ends, corners = _strip_ends(st, r)
+    spine, s = st.spine, st.halfwidth
+    left, right = st._ends
+
+    def lateral(side: int, t_from: float, t_to: float) -> List[tuple]:
+        k, _, m, _ = ends[side]
+        level = s if side else -s
+        rows = [_level_row(spine, i, level) for i in range(k, m + 1)]
+        return _sub_rows(rows, t_from, t_to, bool(side))
+
+    def foot(x: float, y: float, end: tuple) -> Tuple[float, float]:
+        return x - r * end[2], y - r * end[3]
+
+    def free_arc(cx: float, cy: float, x0: float, y0: float, x1: float,
+                 y1: float) -> tuple:
+        a0 = math.atan2(y0 - cy, x0 - cx)
+        sweep = (math.atan2(y1 - cy, x1 - cx) - a0) % geom.TAU
+        return True, (x0, y0, x1, y1, cx, cy, r, True, a0, sweep)
+
+    bottom, top = lateral(0, tl_lo, tr_lo), lateral(1, tl_hi, tr_hi)
+    blx, bly, brx, bry, trx, tr_y, tlx, tly = corners
+    fbl, fbr = foot(blx, bly, left), foot(brx, bry, right)
+    ftr, ftl = foot(trx, tr_y, right), foot(tlx, tly, left)
+    rows = (bottom + [free_arc(brx, bry, *bottom[-1][1][2:4], *fbr),
+                      geom._segment_row(*fbr, *ftr),
+                      free_arc(trx, tr_y, *ftr, *top[0][1][:2])]
+            + top + [free_arc(tlx, tly, *top[-1][1][2:4], *ftl),
+                     geom._segment_row(*ftl, *fbl),
+                     free_arc(blx, bly, *fbl, *bottom[0][1][:2])])
+    return ArcPolygon([geom._row_piece(*row) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +446,14 @@ def inner_set(st: Strip, r: float) -> ArcPolygon:
 
 def _solve_inner_formula(
         measure: Callable[[float], Tuple[float, float]],
-        build: Callable[[float], Tuple[ArcPolygon, Optional[float]]],
+        build: Callable[[float], Tuple[ArcPolygon, ArcPolygon]],
         lo: float, hi: float) -> CheegerSolution:
-    """Solve area(E_r) = pi*r^2 on (lo, hi) and offset E_r back by r.
+    """Solve area(E_r) = pi*r^2 on (lo, hi) for the inner set E_r and its
+    Cheeger set E_r + B_r.
 
-    `measure(r)` gives (area, perimeter) of the inner set E_r, and
-    `build(r)` the set itself with a lower bound on its reach, or None for
-    the offset to certify one; it is called once, at the root, which is
-    the depth measured last.
+    `measure(r)` gives (area, perimeter) of E_r, and `build(r)` the pair
+    (E_r, E_r + B_r); it is called once, at the root, which is the depth
+    measured last.
     f(r) = area(E_r) - pi*r^2 has the exact derivative
     f'(r) = -perimeter(E_r) - 2*pi*r (coarea formula), so the root is found
     by Newton steps from `lo`, safeguarded as in Brent (1973): a step that
@@ -471,8 +464,7 @@ def _solve_inner_formula(
     next Newton step would move r by at most 1e-13*r.  A solve that ends
     with the bracket's upper end at an infeasible depth and |f| above
     RESIDUAL_TOL*pi*r^2 has closed onto the depth where E_r stops existing,
-    not onto a root, and raises NoRoot.  The Cheeger set is E_r + B_r,
-    offset under the reach bound of `build`.
+    not onto a root, and raises NoRoot.
     """
 
     def f(r: float) -> Tuple[float, float]:
@@ -505,8 +497,7 @@ def _solve_inner_formula(
             break
     if f_hi == -math.inf and abs(val) > RESIDUAL_TOL * math.pi * r * r:
         raise NoRoot(f"the sign change at depth {r} borders infeasible depths")
-    e_r, reach_bound = build(r)
-    cheeger = geom.offset_outward_disk(e_r, r, reach_bound)
+    e_r, cheeger = build(r)
     return CheegerSolution(r=r, h=1.0 / r, inner_set=e_r, cheeger_set=cheeger,
                            residual=abs(val), iterations=iterations)
 
@@ -534,8 +525,8 @@ def solve_strip(st: Strip, allow_short: bool = False) -> CheegerSolution:
     def measure(r: float) -> Tuple[float, float]:
         return _strip_measures(st, r)
 
-    def build(r: float) -> Tuple[ArcPolygon, Optional[float]]:
-        return inner_set(st, r), _strip_reach(st, r, _inner_loop(st, r))
+    def build(r: float) -> Tuple[ArcPolygon, ArcPolygon]:
+        return inner_set(st, r), _cheeger_set(st, r)
 
     sol = _solve_inner_formula(measure, build, 1e-9 * s, s * (1.0 - 1e-9))
     bounds = StripBounds(krepra_lower=(1.0 + 1.0 / (400.0 * L_norm)) / s,

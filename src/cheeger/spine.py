@@ -347,8 +347,12 @@ def build_strip(spine: Spine, halfwidth: float) -> Strip:
 
     The Jacobian of the parametrization is 1 - rho*kappa(t), so the map is
     a local diffeomorphism iff s*max|kappa| < 1.  Overlaps are rejected by
-    the self-intersection scan of the assembled boundary and by checking
-    its area and perimeter against 2sL and 2L + 4s.
+    the self-intersection scan of the assembled boundary alone: its Green
+    area is the integral of 1 - rho*kappa over [0, L] x [-s, s], 2sL, and
+    its length 2L + 4s, whether the strip overlaps itself or not.  The
+    check of the computed area and perimeter against those values rejects
+    a boundary whose measures lost precision, as near-straight arcs held
+    by a far-away centre do.
     """
     s = halfwidth
     if not (s > 0.0 and math.isfinite(s)):

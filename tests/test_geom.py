@@ -543,7 +543,7 @@ def test_reach_bound_set_by_piece_pair_across_many_pieces(monkeypatch):
 
 @functools.lru_cache(maxsize=1)
 def _reach_shapes():
-    """(loop, depth, uncapped reach bound): the ladder E_r at their roots,
+    """(loop, depth, reach bound): the ladder E_r at their roots,
     the gallery loops, the notched stadium, the loose bow-tie components,
     a straight strip, the L shape and the 40-arc C whose bound a piece pair
     sets.  The depth is the root where there is one, else the bound or 1."""
@@ -579,40 +579,6 @@ def test_reach_shapes_take_every_path():
                     if bound == math.inf else "radius"
                     if bound == min(radii) else "pair")
     assert sources == {"reflex", "convex", "radius", "pair"}
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_capped_reach_is_min_of_bound_and_cap(data):
-    loop, r, bound = data.draw(st.sampled_from(_reach_shapes()))
-    cap = data.draw(st.sampled_from(
-        [0.0, -r, math.inf, r, bound, math.nextafter(bound, 0.0),
-         math.nextafter(bound, math.inf)])
-        | st.floats(0.5, 2.0).map(lambda k: k * r))
-    capped = geom.reach_lower_bound(loop, cap=cap)
-    assert capped.hex() == min(bound, cap).hex()
-
-
-def test_capping_the_k05_ladder_inner_set_tests_fewer_pairs(monkeypatch):
-    _, sol = verify.ladder_solutions()[("serpentine_k05", 160.0)]
-    calls = []
-    piece_distance = geom.piece_distance
-
-    def counting(a, b):
-        calls.append(None)
-        return piece_distance(a, b)
-
-    monkeypatch.setattr(geom, "piece_distance", counting)
-    bound = geom.reach_lower_bound(sol.inner_set)
-    uncapped, calls[:] = len(calls), []
-    capped = geom.reach_lower_bound(sol.inner_set, cap=sol.r)
-    assert sol.r < bound
-    assert capped == sol.r
-    assert 0 < len(calls) < uncapped
-    # the offset certifies reach up to its radius only
-    capped, calls[:] = len(calls), []
-    geom.offset_outward_disk(sol.inner_set, sol.r)
-    assert len(calls) == capped
 
 
 @given(st.integers(0, 5), fractions, fractions, st.data())

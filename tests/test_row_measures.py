@@ -103,7 +103,7 @@ def test_row_measures_match_the_pieces(family, data):
         if isinstance(rows[0], str):
             # the rows are those of the pieces built from them
             pieces = solver.inner_set(st_, r).pieces
-            assert solver._inner_loop(st_, r)[0] == \
+            assert solver._inner_loop(st_, r) == \
                 [geom._piece_row(q) for q in pieces]
 
 

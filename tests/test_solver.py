@@ -125,15 +125,18 @@ def shrinking_disks(R: float, rate: float = 1.0, cut: float = math.inf,
 
 
 def solve_family(inner, lo: float, hi: float):
-    """_solve_inner_formula on a family of inner sets, each measured and
-    built by one call of `inner`."""
+    """_solve_inner_formula on a family of convex inner sets, each measured
+    and built by one call of `inner`, and offset back by r."""
 
     def measure(r: float):
         e = inner(r)
         return e.area, e.perimeter
 
-    return solver._solve_inner_formula(
-        measure, lambda r: (inner(r), math.inf), lo, hi)
+    def build(r: float):
+        e = inner(r)
+        return e, geom.offset_outward_disk(e, r, math.inf)
+
+    return solver._solve_inner_formula(measure, build, lo, hi)
 
 
 def test_newton_solves_linear_formula_in_one_step():

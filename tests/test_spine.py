@@ -162,6 +162,26 @@ def test_overlapping_annulus_rejected():
         spine.build_strip(spine.circular_spine(0.5, 20.0), 1.0)
 
 
+def test_measure_check_rejects_imprecise_not_overlapping_boundaries(
+        monkeypatch):
+    # the arc of curvature 1e-6, held by a centre 1e6 away, puts the
+    # boundary's Green area 7.5e-7 off 2sL: the measure check rejects it
+    near_straight = spine.Spine((spine.SpinePiece(2.25, 0.375),
+                                 spine.SpinePiece(1.0, 1e-6)))
+    with pytest.raises(InvalidGeometry, match="assembled boundary measures "
+                       "disagree with 2sL and 2L[+]4s"):
+        spine.build_strip(near_straight, 1.0)
+    # it cannot see an overlap: Green's area is 2sL either way, so with the
+    # simplicity scan stubbed out the overlapping strip passes it
+    monkeypatch.setattr(geom, "assert_simple", lambda *args, **kwargs: None)
+    overlapping = spine.build_strip(spine.Spine((
+        spine.SpinePiece(5.0, 0.0), spine.SpinePiece(3.0 * math.pi, 0.5),
+        spine.SpinePiece(10.0, 0.0))), 1.0)
+    area, perimeter = spine.strip_measures(overlapping)
+    assert overlapping.boundary.area == area
+    assert overlapping.boundary.perimeter == perimeter
+
+
 def test_closed_spine_rejected():
     with pytest.raises((InvalidGeometry, SelfIntersecting)):
         spine.build_strip(spine.circular_spine(0.5, 4.0 * math.pi), 1.0)

@@ -1,11 +1,13 @@
-"""The strip reach certificate (`solver._strip_reach`) against the pair scan
-it replaces in strip solves, its fallback to that scan, and the Cheeger
-set it lets `geom.offset_outward_disk` build, checked without that
-function's code.
+"""A strip's Cheeger set (`solver._cheeger_set`) against the outward offset
+of its inner set, which strip solves no longer run, and against the strip
+it rounds.
 
-Wherever the certificate returns r, the uncapped pair scan
-(`geom.reach_lower_bound`) stays the oracle: its bound on the reach of E_r
-must be at least r(1 - 1e-12).
+The reference is `geom.offset_outward_disk(E_r, r)` with no reach bound
+passed, so the pair scan of `geom.reach_lower_bound` certifies reach(E_r)
+>= r first.  It must give the same pieces: the same kinds in order, the
+same arc centres, radii within 1e-14 and ends within 1e-12 of the
+diameter, and area and perimeter within 1e-12.  The families are the
+ladder roots, the U-turns, the hook and the random mixed spines.
 """
 import functools
 import math
@@ -15,7 +17,6 @@ import pytest
 
 from cheeger import geom, solver, verify
 from cheeger.errors import CheegerError
-from cheeger.geom import Arc, Vec2
 from cheeger.spine import Spine, SpinePiece, build_strip
 
 U_TURN_GAPS = (0.5, 0.05, 1e-3, 1e-4)
@@ -25,6 +26,7 @@ U_TURN_GAPS = (0.5, 0.05, 1e-3, 1e-4)
 HOOK = ((3.0, 0.0), (2.0 * math.pi, 0.5), (8.0, 0.0))
 HOOK_SOLUTION = ("0x1.17cec4f96c18ep+0", "0x1.0ec858b94b7ddp+5",
                  "0x1.27f70e428d840p+5")
+FAMILIES = ("ladder", "u_turns", "hook", "random")
 
 
 def u_turn(gap: float):
@@ -38,16 +40,6 @@ def u_turn(gap: float):
 
 def strip_of(pieces):
     return build_strip(Spine(tuple(SpinePiece(*p) for p in pieces)), 1.0)
-
-
-def certificate(st, r, loop=None):
-    return solver._strip_reach(st, r, loop or solver._inner_loop(st, r))
-
-
-@functools.lru_cache(maxsize=1)
-def u_turn_solutions():
-    return {gap: (st, solver.solve_strip(st))
-            for gap, st in ((g, u_turn(g)) for g in U_TURN_GAPS)}
 
 
 def random_spine(rng: random.Random) -> Spine:
@@ -64,134 +56,103 @@ def random_spine(rng: random.Random) -> Spine:
     return Spine(tuple(pieces))
 
 
-def test_certificate_covers_the_ladder():
-    for (name, L), (st, sol) in verify.ladder_solutions().items():
-        assert certificate(st, sol.r) == sol.r, (name, L)
-        bound = geom.reach_lower_bound(sol.inner_set)
-        assert bound >= sol.r * (1.0 - 1e-12), (name, L)
+@functools.lru_cache(maxsize=None)
+def family(name: str) -> tuple:
+    """(label, strip, solution) of each solved strip of a family."""
+    if name == "ladder":
+        return tuple((key, st, sol)
+                     for key, (st, sol) in verify.ladder_solutions().items())
+    if name == "u_turns":
+        return tuple((gap, st, solver.solve_strip(st))
+                     for gap, st in ((g, u_turn(g)) for g in U_TURN_GAPS))
+    if name == "hook":
+        st = strip_of(HOOK)
+        return (("hook", st, solver.solve_strip(st)),)
+    rng, out = random.Random(1409), []
+    for k in range(40):
+        try:
+            st = build_strip(random_spine(rng), 1.0)
+            out.append((k, st, solver.solve_strip(st)))
+        except CheegerError:
+            continue
+    return tuple(out)
+
+
+def assert_matches_offset(st, sol, label) -> None:
+    ref = geom.offset_outward_disk(sol.inner_set, sol.r)
+    got = sol.cheeger_set
+    assert [p.kind for p in got.pieces] == [p.kind for p in ref.pieces], label
+    tol = 1e-12 * st.boundary.diameter
+    for i, (p, q) in enumerate(zip(got.pieces, ref.pieces)):
+        assert p.start.distance(q.start) <= tol, (label, i)
+        assert p.end.distance(q.end) <= tol, (label, i)
+        if p.kind == "arc":
+            assert p.center == q.center, (label, i)
+            assert p.ccw == q.ccw, (label, i)
+            assert p.radius == pytest.approx(q.radius, rel=1e-14), (label, i)
+    assert got.area == pytest.approx(ref.area, rel=1e-12), label
+    assert got.perimeter == pytest.approx(ref.perimeter, rel=1e-12), label
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_cheeger_set_is_the_offset_of_the_inner_set(name):
+    solved = family(name)
+    assert len(solved) >= {"ladder": 25, "u_turns": 4, "hook": 1,
+                           "random": 20}[name]
+    for label, st, sol in solved:
+        assert_matches_offset(st, sol, label)
 
 
 @pytest.mark.parametrize("gap", U_TURN_GAPS)
-def test_certificate_covers_the_u_turns(gap):
-    st, sol = u_turn_solutions()[gap]
-    assert certificate(st, sol.r) == sol.r
-    # the scan's bound is half the gap between E_r's arms, r + gap/2
+def test_u_turn_scan_bound_is_r_plus_half_the_gap(gap):
+    # the scan's bound is half the gap between E_r's arms
+    (_, _, sol), = [entry for entry in family("u_turns") if entry[0] == gap]
     bound = geom.reach_lower_bound(sol.inner_set)
-    assert bound >= sol.r * (1.0 - 1e-12)
     assert bound == pytest.approx(sol.r + 0.5 * gap, rel=1e-9)
 
 
-def test_certificate_agrees_with_the_scan_on_random_spines():
-    rng = random.Random(1409)
-    certified = uncertified = 0
-    for _ in range(40):
-        try:
-            st = build_strip(random_spine(rng), 1.0)
-            sol = solver.solve_strip(st)
-        except CheegerError:
-            continue
-        if certificate(st, sol.r) is None:
-            uncertified += 1
-            continue
-        certified += 1
-        assert geom.reach_lower_bound(sol.inner_set) >= sol.r * (1.0 - 1e-12)
-    assert certified >= 3 and uncertified >= 3
-
-
-# ---------------------------------------------------------------------------
-# fallback: each hypothesis broken on its own
-
-
-def replaced(loop, index, row):
-    rows = list(loop[0])
-    rows[index] = row
-    return (rows,) + tuple(loop[1:])
-
-
-def test_each_broken_hypothesis_returns_none():
-    st = verify.strip_families()["straight"](20.0)
-    r = verify.ladder_solutions()[("straight", 20.0)][1].r
-    loop = solver._inner_loop(st, r)
-    rows, k, t_left, t_right = loop
-    assert certificate(st, r, loop) == r
-    # the trims must not overlap along the spine
-    assert certificate(st, r, (rows, k, t_right, t_right)) is None
-    # a segment end behind the left trim line (the spine runs along +x)
-    sx, sy, ex, ey = rows[0][1][:4]
-    assert certificate(st, r, replaced(
-        loop, 0, geom._segment_row(sx - 1e-6, sy, ex, ey))) is None
-    # an arc whose ends lie inside the half-plane but whose middle bulges
-    # out of it; a segment with the same ends passes
-    a, b = Vec2(sx + 0.1, sy), Vec2(sx + 0.1, sy - 1.0)
-    bulge = Arc(a, b, Vec2(sx + 0.1, sy - 0.5), 0.5, True, math.pi)
-    assert certificate(st, r, replaced(loop, 0, geom._piece_row(bulge))) is None
-    assert certificate(st, r, replaced(
-        loop, 0, geom._segment_row(a.x, a.y, b.x, b.y))) == r
-    # a left trim corner inside its half-plane, off its own line
-    tx, ty, bx, by = rows[-1][1][:4]
-    assert certificate(st, r, replaced(
-        loop, -1, geom._segment_row(tx + 1e-6, ty, bx, by))) is None
-
-
-def test_trims_closer_than_2r_return_none():
-    # both trims of the U-turn lie on one line, gap + 2r apart; moving the
-    # right trim by 1.5 gaps along it leaves every row in the half-planes
-    gap = 0.05
-    st, sol = u_turn_solutions()[gap]
-    loop = solver._inner_loop(st, sol.r)
-    rows, k = loop[:2]
-    sx, sy, ex, ey = rows[k][1][:4]
-    shift = math.copysign(1.5 * gap, rows[-1][1][1] - sy)
-    moved = replaced(loop, k, geom._segment_row(sx, sy + shift, ex, ey + shift))
-    assert certificate(st, sol.r, moved) is None
-
-
-def count_scans(monkeypatch):
+def count_calls(monkeypatch):
     calls = []
-    scan = geom.reach_lower_bound
+    for name in ("reach_lower_bound", "offset_outward_disk"):
+        fn = getattr(geom, name)
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("cap"))
-        return scan(*args, **kwargs)
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(geom, "reach_lower_bound", counting)
+        monkeypatch.setattr(geom, name, counting)
     return calls
 
 
 def test_certified_solve_runs_no_scan(monkeypatch):
-    calls = count_scans(monkeypatch)
+    # no strip solve offsets E_r or scans it for its reach, not even the
+    # hook, whose return arm runs behind its start line
+    calls = count_calls(monkeypatch)
     solver.solve_strip(verify.strip_families()["serpentine_k09"](20.0))
+    sol = solver.solve_strip(strip_of(HOOK))
     assert calls == []
-
-
-def test_uncertified_solve_falls_back_to_the_scan(monkeypatch):
-    st = strip_of(HOOK)
-    calls = count_scans(monkeypatch)
-    sol = solver.solve_strip(st)
-    assert certificate(st, sol.r) is None
-    assert calls == [sol.r]  # the offset's capped scan
     assert (sol.h.hex(), sol.cheeger_set.area.hex(),
             sol.cheeger_set.perimeter.hex()) == HOOK_SOLUTION
 
 
 # ---------------------------------------------------------------------------
-# the offset, checked without offset_outward_disk
+# the Cheeger set, checked without offset_outward_disk
 
 
 def test_certified_cheeger_sets_are_the_strips_with_rounded_corners():
     # E_r + B_r is the strip with its four corners rounded at radius r:
     # every piece but the four free arcs lies on the strip's boundary
-    for (name, L), (st, sol) in verify.ladder_solutions().items():
-        assert certificate(st, sol.r) == sol.r
-        free = [fa.arc for fa in solver.check_free_boundary(sol, st)]
-        tol = 1e-9 * st.boundary.diameter
-        pieces = [p for p in sol.cheeger_set.pieces
-                  if not any(p is arc for arc in free)]
-        assert len(pieces) == len(sol.cheeger_set.pieces) - 4
-        for p in pieces:
-            for x in (p.start, p.end, p.point_at(0.5)):
-                depth = geom.distance_to_boundary(st.boundary, x)
-                assert abs(depth) <= tol, (name, L, x, depth)
-        if name == "straight":
-            area = 2.0 * L - (4.0 - math.pi) * sol.r ** 2
-            assert sol.cheeger_set.area == pytest.approx(area, rel=1e-12)
+    for name in FAMILIES:
+        for label, st, sol in family(name):
+            free = [fa.arc for fa in solver.check_free_boundary(sol, st)]
+            tol = 1e-9 * st.boundary.diameter
+            pieces = [p for p in sol.cheeger_set.pieces
+                      if not any(p is arc for arc in free)]
+            assert len(pieces) == len(sol.cheeger_set.pieces) - 4
+            for p in pieces:
+                for x in (p.start, p.end, p.point_at(0.5)):
+                    depth = geom.distance_to_boundary(st.boundary, x)
+                    assert abs(depth) <= tol, (name, label, x, depth)
+            if name == "ladder" and label[0] == "straight":
+                area = 2.0 * label[1] - (4.0 - math.pi) * sol.r ** 2
+                assert sol.cheeger_set.area == pytest.approx(area, rel=1e-12)
